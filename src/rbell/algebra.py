@@ -337,6 +337,38 @@ def _det_bareiss(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def leading_principal_minors(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Determinants of the leading 1x1, 2x2, ..., nxn submatrices of a square
+    integer matrix, from one Bareiss elimination without pivoting: after k
+    elimination steps the diagonal entry k is the leading (k+1)x(k+1) minor.
+
+    Elimination cannot pass a zero minor without pivoting, so a zero before
+    the last one raises InconsistencyError; callers use this on matrices
+    whose minors are known to be positive, such as moment matrices of a
+    positive measure.
+    """
+    m = [list(row) for row in rows]
+    n = len(m)
+    if n == 0 or any(len(row) != n for row in m):
+        raise DomainError("leading minors require a nonempty square matrix")
+    minors = []
+    prev = 1
+    for k in range(n - 1):
+        pivot = m[k][k]
+        if pivot == 0:
+            raise InconsistencyError(f"leading {k + 1}x{k + 1} minor is zero; cannot eliminate")
+        minors.append(pivot)
+        row_k = m[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            head = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
+        prev = pivot
+    minors.append(m[n - 1][n - 1])
+    return minors
+
+
 def _det_cofactor(m):
     n = len(m)
     if n == 1:

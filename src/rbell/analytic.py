@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -21,10 +22,12 @@ from typing import NamedTuple
 from .algebra import ApproxReal, RationalSeries, pochhammer, series_exp, sturm_root_count
 from .bell import rbell_number, rbell_poly
 from .errors import ConvergenceError, DomainError, InconsistencyError
-from .stirling import _check_natural, _s2r
+from .stirling import _check_natural, stirling_row
 
 # rational upper bound for 2e, used by the Dobinski stopping rule
 _TWO_E_UPPER = Fraction(543657, 100000)
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 # relative slack allowed to one libm exp call plus float argument conversion
 def _exp_rel_bound(xf: float) -> Fraction:
@@ -65,6 +68,7 @@ def dobinski_series_sum(n: int, r: int, x, tol: float) -> ApproxReal:
         raise DomainError("dobinski evaluation needs x > 0")
 
     k_min = max(n + r, math.ceil(_TWO_E_UPPER * xq))
+    _check_series_fits_float(n, r, xq, k_min - 1)
     total = Fraction(0)
     power = Fraction(1)  # x^k / k!
     k = 0
@@ -77,9 +81,49 @@ def dobinski_series_sum(n: int, r: int, x, tol: float) -> ApproxReal:
         power = power_next
         k += 1
 
-    value = float(total)
-    rep_err = abs(Fraction(value) - total)
-    return ApproxReal(value, _float_upper(2 * t_next + rep_err))
+    try:
+        value = float(total)
+        rep_err = abs(Fraction(value) - total)
+        return ApproxReal(value, _float_upper(2 * t_next + rep_err))
+    except OverflowError:
+        raise DomainError(
+            f"the Dobinski sum at (n={n}, r={r}, x={xq}) exceeds the float range"
+        ) from None
+
+
+def _check_series_fits_float(n: int, r: int, xq: Fraction, k_last: int) -> None:
+    """Raise DomainError before summing when the Dobinski series through index
+    k_last is certain to exceed the float range.
+
+    All terms t_k = (k+r)^n x^k / k! are positive, so the partial sum is at
+    least its largest term.  log t_k is concave in k, so a bisection on the
+    sign of log t_{k+1} - log t_k finds that term among k <= k_last; any term
+    is a valid lower bound, so float error in the search cannot make the test
+    unsound.  The final comparison allows a relative slack of 1e-6 on log t_k,
+    far above the error of the few log and lgamma calls behind it, so a sum
+    that fits in a float is never rejected.
+    """
+    log_x = math.log(xq.numerator) - math.log(xq.denominator)
+
+    def log_term(k: int) -> float:
+        return n * math.log(k + r) + k * log_x - math.lgamma(k + 1)
+
+    # k + r >= 1 throughout: t_0 = 0^n is skipped when r = 0
+    lo = 1 if r == 0 else 0
+    hi = max(lo, k_last)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if log_term(mid + 1) > log_term(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    k = lo
+    slack = 1e-6 * (1 + n * math.log(k + r) + k * abs(log_x) + math.lgamma(k + 1))
+    if log_term(k) > _LOG_FLOAT_MAX + slack:
+        raise DomainError(
+            f"the Dobinski sum at (n={n}, r={r}, x={xq}) exceeds the float range: "
+            f"its term k={k} alone is about e^{log_term(k):.1f}"
+        )
 
 
 def dobinski_eval(n: int, r: int, x, tol: float) -> ApproxReal:
@@ -381,9 +425,9 @@ def max_index(n: int, r: int) -> MaxIndexReport:
     _check_natural(n=n, r=r)
     if n < 1:
         raise DomainError("max_index needs n >= 1")
-    row = {k: _s2r(n + r, k, r) for k in range(r, n + r + 1)}
-    best = max(row.values())
-    maximizers = tuple(k for k, v in row.items() if v == best)
+    row = stirling_row(2, n + r, r)
+    best = max(row)
+    maximizers = tuple(r + j for j, v in enumerate(row) if v == best)
     ratio = Fraction(rbell_number(n + 1, r), rbell_number(n, r)) - (r + 1)
     holds = any(abs(k - r - ratio) < 1 for k in maximizers)
     return MaxIndexReport(n, r, maximizers, ratio, holds)

@@ -14,10 +14,11 @@ the caller; that keeps the verification plumbing uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .algebra import IntPolynomial
 from .errors import DomainError
-from .stirling import _check_natural, _s1r, _s2r, binomial
+from .stirling import _check_natural, binomial, stirling_row
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class RBellPoly:
 def rbell_poly(n: int, r: int) -> RBellPoly:
     """B_{n,r}(x) directly from its r-Stirling coefficients."""
     _check_natural(n=n, r=r)
-    return RBellPoly(n, r, IntPolynomial([_s2r(n + r, k + r, r) for k in range(n + 1)]))
+    return RBellPoly(n, r, IntPolynomial(stirling_row(2, n + r, r)))
 
 
 def rbell_poly_rec(n: int, r: int) -> RBellPoly:
@@ -56,9 +57,9 @@ def rbell_poly_rec(n: int, r: int) -> RBellPoly:
 
 
 def rbell_number(n: int, r: int) -> int:
-    """B_{n,r} = B_{n,r}(1)."""
-    poly = rbell_poly(n, r).poly
-    return poly(1)
+    """B_{n,r} = B_{n,r}(1), the sum of the r-Stirling coefficients."""
+    _check_natural(n=n, r=r)
+    return sum(stirling_row(2, n + r, r))
 
 
 def bell_poly(n: int) -> IntPolynomial:
@@ -113,7 +114,7 @@ def carlitz_compose(n: int, m: int, r: int) -> int:
     Contract: equals rbell_number(n + m, r).
     """
     _check_natural(n=n, m=m, r=r)
-    return sum(_s2r(m + r, j + r, r) * rbell_number(n, r + j) for j in range(m + 1))
+    return sum(s * rbell_number(n, r + j) for j, s in enumerate(stirling_row(2, m + r, r)))
 
 
 def carlitz_inverse(n: int, m: int, r: int) -> int:
@@ -123,8 +124,8 @@ def carlitz_inverse(n: int, m: int, r: int) -> int:
     """
     _check_natural(n=n, m=m, r=r)
     total = 0
-    for j in range(m + 1):
-        term = _s1r(m + r, j + r, r) * rbell_number(n + j, r)
+    for j, s in enumerate(stirling_row(1, m + r, r)):
+        term = s * rbell_number(n + j, r)
         total += term if (m - j) % 2 == 0 else -term
     return total
 
@@ -144,6 +145,22 @@ def whitehead_row_sum(n: int) -> int:
 
 
 def rbell_table(n_max: int, r_max: int) -> list[list[int]]:
-    """Matrix with entry (r, n) = B_{n,r}, rows r = 0..r_max, columns n = 0..n_max."""
+    """Matrix with entry (r, n) = B_{n,r}, rows r = 0..r_max, columns n = 0..n_max.
+
+    Row 0 holds the Bell numbers B_0..B_{n_max+r_max}, read off the first
+    column of the Bell triangle; each further row follows from Whitehead's
+    step B_{n,r+1} = B_{n+1,r} - r B_{n,r}, which shortens it by one.  This
+    route never touches the r-Stirling coefficients that rbell_number sums.
+    """
     _check_natural(n_max=n_max, r_max=r_max)
-    return [[rbell_number(n, r) for n in range(n_max + 1)] for r in range(r_max + 1)]
+    bells = [1]
+    triangle = [1]
+    for _ in range(n_max + r_max):
+        triangle = list(accumulate(triangle, initial=triangle[-1]))
+        bells.append(triangle[0])
+    table = [bells[: n_max + 1]]
+    row = bells
+    for r in range(r_max):
+        row = [b - r * a for a, b in zip(row, row[1:])]
+        table.append(row[: n_max + 1])
+    return table

@@ -13,7 +13,9 @@ returns {n+r, k+r}_r; keeping the shift explicit avoids off-by-r bugs.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from collections import OrderedDict
+from itertools import repeat
+from operator import add, mul
 
 from .algebra import IntPolynomial, falling_factorial_poly
 from .errors import DomainError, InconsistencyError
@@ -31,34 +33,58 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@lru_cache(maxsize=None)
-def _s2r(n: int, k: int, r: int) -> int:
-    if n < r or k < r or k > n:
-        return 0
-    if n == r:
-        return 1 if k == r else 0
-    return k * _s2r(n - 1, k, r) + _s2r(n - 1, k - 1, r)
+# Whole rows kept for reuse, least recently used evicted first.  Sixty-four
+# rows cover every row the verify suites revisit (carlitz walks about thirty
+# r values at once) while capping what a long-lived process holds.
+_ROW_CACHE_SIZE = 64
+_rows: OrderedDict[tuple[int, int, int], tuple[int, ...]] = OrderedDict()
+
+
+def stirling_row(kind: int, n: int, r: int) -> tuple[int, ...]:
+    """Row n of Broder's r-Stirling triangle of the first (kind = 1) or second
+    (kind = 2) kind: entry j is [n, r+j]_r or {n, r+j}_r for j = 0..n-r, and
+    the row is empty when n < r.
+
+    Rows are built iteratively from the nearest cached row of the same kind
+    and r below n (or from row r = (1,)), by
+
+        {m+1, r+j}_r = (r+j) {m, r+j}_r + {m, r+j-1}_r
+        [m+1, r+j]_r =   m   [m, r+j]_r + [m, r+j-1]_r,
+
+    and only the requested row is cached.
+    """
+    key = (kind, n, r)
+    row = _rows.get(key)
+    if row is not None:
+        _rows.move_to_end(key)
+        return row
+    if kind not in (1, 2):
+        raise DomainError(f"kind must be 1 or 2, got {kind!r}")
+    _check_natural(n=n, r=r)
+    if n < r:
+        return ()
+    m = max((km for kk, km, kr in _rows if kk == kind and kr == r and km < n), default=r)
+    row = _rows.get((kind, m, r), (1,))
+    while m < n:
+        weights = range(r, m + 2) if kind == 2 else repeat(m)
+        row = (*map(add, map(mul, weights, row + (0,)), (0,) + row),)
+        m += 1
+    _rows[key] = row
+    if len(_rows) > _ROW_CACHE_SIZE:
+        _rows.popitem(last=False)
+    return row
 
 
 def stirling2r(n: int, k: int, r: int) -> int:
     """r-Stirling number of the second kind {n, k}_r (unshifted indices)."""
     _check_natural(n=n, k=k, r=r)
-    return _s2r(n, k, r)
-
-
-@lru_cache(maxsize=None)
-def _s1r(n: int, k: int, r: int) -> int:
-    if n < r or k < r or k > n:
-        return 0
-    if n == r:
-        return 1 if k == r else 0
-    return (n - 1) * _s1r(n - 1, k, r) + _s1r(n - 1, k - 1, r)
+    return stirling_row(2, n, r)[k - r] if r <= k <= n else 0
 
 
 def stirling1r(n: int, k: int, r: int) -> int:
     """Unsigned r-Stirling number of the first kind [n, k]_r (unshifted)."""
     _check_natural(n=n, k=k, r=r)
-    return _s1r(n, k, r)
+    return stirling_row(1, n, r)[k - r] if r <= k <= n else 0
 
 
 def stirling2r_explicit(n: int, k: int, r: int) -> int:
@@ -92,8 +118,7 @@ def horizontal_check(n: int, r: int) -> IntPolynomial:
     _check_natural(n=n, r=r)
     lhs = IntPolynomial((r, 1)) ** n
     rhs = IntPolynomial()
-    for k in range(n + 1):
-        c = _s2r(n + r, k + r, r)
+    for k, c in enumerate(stirling_row(2, n + r, r)):
         if c:
             rhs = rhs + c * falling_factorial_poly(k)
     return lhs - rhs

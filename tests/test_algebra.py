@@ -12,6 +12,7 @@ from rbell.algebra import (
     RationalSeries,
     falling_factorial_poly,
     fraction_free_det,
+    leading_principal_minors,
     pochhammer,
     series_exp,
     squarefree_part,
@@ -219,6 +220,26 @@ def test_determinant_random_cross_check():
         wrapped = [row[:] for row in m]
         wrapped[0][0] = IntPolynomial([m[0][0]])
         assert fraction_free_det(wrapped) == fraction_free_det(m)
+
+
+def test_leading_principal_minors():
+    assert leading_principal_minors([[2]]) == [2]
+    assert leading_principal_minors([[1, 3], [3, 10]]) == [1, 1]
+    assert leading_principal_minors([[1, 2], [2, 4]]) == [1, 0]  # a zero last minor
+    with pytest.raises(InconsistencyError):
+        leading_principal_minors([[0, 1], [1, 0]])
+    with pytest.raises(DomainError):
+        leading_principal_minors([[1, 2], [3]])
+    rng = random.Random(4417)
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        m = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+        expected = [fraction_free_det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+        if 0 in expected[:-1]:
+            with pytest.raises(InconsistencyError):
+                leading_principal_minors(m)
+        else:
+            assert leading_principal_minors(m) == expected
 
 
 def test_squarefree_part():

@@ -63,6 +63,18 @@ def test_dobinski_grid_error_contract():
                 assert Fraction(got.err) <= Fraction(1, 10**9) * max(1, exact)
 
 
+def test_dobinski_float_range():
+    # the sum for n = 218 is about 1.7e307: near the float limit but inside it
+    near = dobinski_series_sum(218, 0, 1, 1e-9)
+    assert near.value > 1e307
+    # predicted from the largest term, before any summation
+    with pytest.raises(DomainError, match="float range: its term"):
+        dobinski_series_sum(200, 3, 5, 1e-12)
+    # every term fits but the sum does not: the conversion backstop
+    with pytest.raises(DomainError, match="float range"):
+        dobinski_series_sum(219, 0, 1, 1e-9)
+
+
 def test_egf_coeffs():
     cs = egf_coeffs(3, 2, 1)
     assert [math.factorial(k) * c for k, c in enumerate(cs)] == [1, 3, 10, 37]

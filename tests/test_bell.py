@@ -198,6 +198,17 @@ def test_bell_addition_formula():
         assert direct == split
 
 
+def test_rbell_table_matches_coefficient_route():
+    # the table comes from the Bell triangle and Whitehead's step, rbell_number
+    # from r-Stirling rows: compare them well beyond the 7 x 7 reference
+    assert rbell_table(60, 15) == [
+        [rbell_number(n, r) for n in range(61)] for r in range(16)
+    ]
+    assert rbell_table(0, 0) == [[1]]
+    assert rbell_table(0, 3) == [[1], [1], [1], [1]]
+    assert rbell_table(4, 0) == [[1, 1, 2, 5, 15]]
+
+
 def test_table_rejects_negative_sizes():
     with pytest.raises(DomainError):
         rbell_table(-1, 3)

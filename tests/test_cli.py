@@ -1,11 +1,15 @@
 """Tests for the command-line interface, driven in-process through main()."""
 
 import json
+import math
 import pathlib
+from fractions import Fraction
 
 import pytest
 
+from rbell.bell import rbell_table
 from rbell.cli import main
+from rbell.stirling import stirling2r_explicit
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "table_6_6.json"
 
@@ -189,6 +193,35 @@ def test_domain_errors_exit_2(capsys):
     code, _, err = run(capsys, "integral", "-n", "0", "-r", "2", "--tol", "1e-8")
     assert code == 2
     assert "error:" in err
+
+
+def test_dobinski_overflow_exits_2(capsys):
+    code, out, err = run(capsys, "dobinski", "-n", "200", "-r", "3", "--x", "5", "--tol", "1e-12")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "float range" in err
+    assert "Traceback" not in err
+
+
+def test_large_indices_need_no_recursion(capsys):
+    # these exceeded the recursion limit when rows were filled recursively;
+    # each value is checked against a route that builds no r-Stirling row
+    code, out, _ = run(capsys, "bell", "-n", "500", "-r", "1")
+    assert code == 0
+    assert json.loads(out)["value"] == str(rbell_table(501, 0)[0][501])  # B_{n,1} = B_{n+1}
+
+    code, out, _ = run(capsys, "stirling2", "-n", "1200", "-k", "3", "-r", "1")
+    assert code == 0
+    assert json.loads(out)["value"] == str(stirling2r_explicit(1199, 2, 1))
+
+    # [n, 3]_1 = [n, 3] = (n-1)!/2 (H_{n-1}^2 - H_{n-1}^(2)), harmonic numbers
+    code, out, _ = run(capsys, "stirling1", "-n", "1200", "-k", "3", "-r", "1")
+    assert code == 0
+    h1 = sum(Fraction(1, i) for i in range(1, 1200))
+    h2 = sum(Fraction(1, i * i) for i in range(1, 1200))
+    expected = math.factorial(1199) * (h1 * h1 - h2) / 2
+    assert expected.denominator == 1
+    assert json.loads(out)["value"] == str(expected.numerator)
 
 
 def test_module_entry_point():

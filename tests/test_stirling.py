@@ -1,9 +1,12 @@
 """Tests for r-Stirling numbers of both kinds."""
 
 import math
+import pathlib
 import random
 
 import pytest
+
+import rbell.stirling
 
 from rbell.algebra import IntPolynomial, pochhammer
 from rbell.errors import DomainError
@@ -13,6 +16,7 @@ from rbell.stirling import (
     stirling1r,
     stirling2r,
     stirling2r_explicit,
+    stirling_row,
 )
 
 
@@ -132,3 +136,38 @@ def test_second_kind_log_concavity_random_rows():
         row = [stirling2r(n, k, r) for k in range(max(r, 1), n + 1)]
         for a, b, c in zip(row, row[1:], row[2:]):
             assert b * b >= a * c
+
+
+def test_stirling_rows_match_closed_forms():
+    # second kind: the alternating sum; first kind: the row generating function
+    # sum_j [n+r, r+j]_r x^j = (x+r)(x+r+1)...(x+r+n-1)
+    for r in range(5):
+        rising = IntPolynomial([1])
+        for n in range(12):
+            assert stirling_row(2, n + r, r) == tuple(
+                stirling2r_explicit(n, j, r) for j in range(n + 1)
+            )
+            assert stirling_row(1, n + r, r) == rising.coeffs
+            rising = rising * IntPolynomial([r + n, 1])
+        if r:
+            assert stirling_row(1, r - 1, r) == stirling_row(2, r - 1, r) == ()
+    assert stirling_row(2, 4, 0) == (0, 1, 7, 6, 1)
+    assert stirling_row(1, 4, 0) == (0, 6, 11, 6, 1)
+    with pytest.raises(DomainError):
+        stirling_row(3, 4, 0)
+    with pytest.raises(DomainError):
+        stirling_row(2, -1, 0)
+
+
+def test_row_cache_is_bounded():
+    for r in range(3 * rbell.stirling._ROW_CACHE_SIZE):
+        stirling_row(2, r + 5, r)
+        stirling_row(1, r + 5, r)
+    assert len(rbell.stirling._rows) <= rbell.stirling._ROW_CACHE_SIZE
+
+
+def test_no_unbounded_caches():
+    src = pathlib.Path(rbell.stirling.__file__).parent
+    for path in src.glob("*.py"):
+        text = path.read_text()
+        assert "maxsize=None" not in text and "@cache" not in text, path.name

@@ -74,6 +74,13 @@ def test_hankel_transform_is_r_independent():
         assert hankel_transform_rbell(r, 5) == expected
 
 
+def test_hankel_transform_matches_separate_determinants():
+    # one elimination's leading minors against one determinant per size
+    for r in range(5):
+        seq = [rbell_number(m, r) for m in range(25)]
+        assert hankel_transform_rbell(r, 12) == [hankel_det(seq, n + 1) for n in range(13)]
+
+
 def test_polynomial_hankel_rows():
     # determinants of polynomial-valued Bell sequences stay exact
     polys = [rbell_poly(m, 2).poly for m in range(5)]
