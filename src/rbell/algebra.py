@@ -126,6 +126,31 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
+    def __floordiv__(self, other: "IntPolynomial | int") -> "IntPolynomial":
+        """Exact quotient in Z[x].  Z[x] has no floor division, so a nonzero
+        remainder, or a quotient that leaves Z[x], raises InconsistencyError."""
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        b = other.coeffs
+        db, lead = len(b) - 1, b[-1]
+        rem = list(self.coeffs)
+        quo = [0] * max(len(rem) - db, 0)
+        for shift in range(len(quo) - 1, -1, -1):
+            q, left = divmod(rem.pop(), lead)
+            if left:
+                rem.append(left)
+                break
+            quo[shift] = q
+            if q:
+                for i in range(db):
+                    rem[shift + i] -= q * b[i]
+        if any(rem):
+            raise InconsistencyError(f"{other!r} does not divide {self!r} in Z[x]")
+        return IntPolynomial(quo)
+
     def __pow__(self, n: int) -> "IntPolynomial":
         if not isinstance(n, int) or n < 0:
             raise DomainError("polynomial exponent must be a natural number")
@@ -299,19 +324,22 @@ def falling_factorial_poly(n: int) -> IntPolynomial:
 def fraction_free_det(rows: Sequence[Sequence[int | IntPolynomial]]):
     """Exact determinant of a square matrix of ints or of IntPolynomials.
 
-    Integer matrices go through Bareiss fraction-free elimination; polynomial
-    matrices (only ever small here) through cofactor expansion.
+    Both rings go through the same Bareiss fraction-free elimination, so a
+    matrix of size n costs O(n^3) ring operations.  Each division by the
+    previous pivot is exact (Bareiss, Math. Comp. 1968); over Z[x] it is the
+    exact quotient ``//`` of IntPolynomial, which raises InconsistencyError
+    should a remainder ever appear.  A matrix with any IntPolynomial entry is
+    computed over Z[x] and its determinant is an IntPolynomial.
     """
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise DomainError("determinant requires a nonempty square matrix")
     if any(isinstance(e, IntPolynomial) for row in rows for e in row):
-        m = [[_as_poly(e) for e in row] for row in rows]
-        return _det_cofactor(m)
+        return _det_bareiss([[_as_poly(e) for e in row] for row in rows])
     return _det_bareiss([list(row) for row in rows])
 
 
-def _det_bareiss(m: list[list[int]]) -> int:
+def _det_bareiss(m: list[list]):
     n = len(m)
     sign = 1
     prev = 1
@@ -323,7 +351,7 @@ def _det_bareiss(m: list[list[int]]) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                return m[k][k]  # the zero of the matrix's ring
         pivot = m[k][k]
         for i in range(k + 1, n):
             row_i = m[i]
@@ -369,73 +397,51 @@ def leading_principal_minors(rows: Sequence[Sequence[int]]) -> list[int]:
     return minors
 
 
-def _det_cofactor(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    acc = None
-    for j in range(n):
-        e = m[0][j]
-        if not e:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = e * _det_cofactor(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else IntPolynomial()
-
-
 # ---------------------------------------------------------------------------
-# Sturm chains over Fraction coefficient lists
+# Sturm chains from one primitive remainder sequence over Z
 
 
-def _frac_coeffs(p: IntPolynomial) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
+def _primitive(p: IntPolynomial) -> IntPolynomial:
+    """p divided by its positive content; the sign of p is kept."""
+    content = math.gcd(*p.coeffs)
+    return p if content <= 1 else IntPolynomial([c // content for c in p.coeffs])
 
 
-def _trim(cs: list[Fraction]) -> list[Fraction]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
+def _neg_pseudo_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """A positive multiple of -rem(a, b), by pseudo-division over Z.
+
+    Each step multiplies the running remainder by |lc(b)| and subtracts the
+    multiple of b that carries the sign of lc(b), so the top coefficient
+    cancels without a fraction and the result is c.rem(a, b) with c > 0.
+    """
+    b_low = b.coeffs[:-1]
+    lead = b.leading_coefficient
+    scale = abs(lead)
+    sign = 1 if lead > 0 else -1
+    rem = list(a.coeffs)
+    while len(rem) > len(b_low):
+        top = rem.pop()
+        if top:
+            shift = len(rem) - len(b_low)
+            t = sign * top
+            rem[:shift] = [scale * c for c in rem[:shift]]
+            rem[shift:] = [scale * c - t * bc for c, bc in zip(rem[shift:], b_low)]
+    return IntPolynomial([-c for c in rem])
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = _trim(a[:])
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    lead = b[-1]
-    while _trim(rem) and len(rem) >= len(b):
-        shift = len(rem) - len(b)
-        factor = rem[-1] / lead
-        quo[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * c
-        rem.pop()
-    return _trim(quo), _trim(rem)
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _trim(a[:]), _trim(b[:])
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _poly_deriv(a: list[Fraction]) -> list[Fraction]:
-    return [k * c for k, c in enumerate(a) if k > 0]
-
-
-def _eval_fracs(cs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
+def _remainder_sequence(p: IntPolynomial) -> list[IntPolynomial]:
+    """The primitive remainder sequence p, p', ... of a nonzero p: each next
+    element is the primitive part of a positive multiple of -rem(a, b), so
+    each is a positive multiple of the classical Sturm element, and the last
+    one is gcd(p, p') up to a nonzero constant (Collins, JACM 1967; Brown and
+    Traub, JACM 1971)."""
+    prs = [_primitive(p), _primitive(p.derivative())]
+    while prs[-1].degree > 0:
+        rem = _neg_pseudo_remainder(prs[-2], prs[-1])
+        if rem.is_zero():
+            break
+        prs.append(_primitive(rem))
+    return prs if prs[-1] else prs[:-1]
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
@@ -444,44 +450,29 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     are simple."""
     if p.is_zero():
         raise DomainError("zero polynomial has no square-free part")
-    cs = _frac_coeffs(p)
-    g = _poly_gcd(cs, _poly_deriv(cs))
-    quo, rem = _poly_divmod(cs, g)
-    if rem:
-        raise InconsistencyError("gcd does not divide its polynomial")
-    lcm_den = 1
-    for c in quo:
-        lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
-    ints = [int(c * lcm_den) for c in quo]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, c)
-    if ints[-1] < 0:
-        content = -content
-    return IntPolynomial([c // content for c in ints])
+    prs = _remainder_sequence(p)
+    sf = prs[0] // prs[-1]  # a quotient of primitive polynomials is primitive
+    return sf if sf.leading_coefficient > 0 else -sf
 
 
-def _sturm_chain(p0: list[Fraction]) -> list[list[Fraction]]:
-    chain = [p0, _poly_deriv(p0)]
-    while chain[-1]:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return [c for c in chain if c]
-
-
-def _sign_at(cs: list[Fraction], point) -> int:
+def _sign_at(p: IntPolynomial, point) -> int:
+    cs = p.coeffs
     if point == math.inf:
         v = cs[-1]
     elif point == -math.inf:
-        v = cs[-1] if (len(cs) - 1) % 2 == 0 else -cs[-1]
+        v = cs[-1] if len(cs) % 2 else -cs[-1]
     else:
-        v = _eval_fracs(cs, Fraction(point))
+        # den^d p(num/den) = sum_k c_k num^k den^(d-k), in integers
+        q = Fraction(point)
+        num, den = q.numerator, q.denominator
+        v, den_power = 0, 1
+        for c in reversed(cs):
+            v = v * num + c * den_power
+            den_power *= den
     return (v > 0) - (v < 0)
 
 
-def _variations(chain: list[list[Fraction]], point) -> int:
+def _variations(chain: list[IntPolynomial], point) -> int:
     signs = [s for s in (_sign_at(c, point) for c in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
@@ -489,8 +480,13 @@ def _variations(chain: list[list[Fraction]], point) -> int:
 def sturm_root_count(p: IntPolynomial, lo, hi) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi].
 
-    Endpoints may be Fractions, ints, or +/-math.inf.  The chain is built on
-    the square-free part of p, so multiple roots count once.
+    Endpoints may be Fractions, ints, or +/-math.inf.  The Sturm chain comes
+    from one primitive remainder sequence of p and p' computed over Z by
+    pseudo-division, so no coefficient is ever a fraction.  Its last element
+    is g = gcd(p, p'), and dividing every element exactly by g gives a Sturm
+    chain of the square-free part p/g from the same run, so multiple roots
+    count once, also at an endpoint.  Signs at a finite endpoint num/den are
+    those of den^d times each element's value, computed in integers.
     """
     if p.is_zero():
         raise DomainError("root counting needs a nonzero polynomial")
@@ -501,8 +497,10 @@ def sturm_root_count(p: IntPolynomial, lo, hi) -> int:
         raise DomainError(f"empty interval ({lo}, {hi}]")
     if p.degree == 0:
         return 0
-    sf = squarefree_part(p)
-    chain = _sturm_chain(_frac_coeffs(sf))
+    chain = _remainder_sequence(p)
+    gcd = chain[-1]
+    if gcd.degree > 0:
+        chain = [e // gcd for e in chain]
     return _variations(chain, lo) - _variations(chain, hi)
 
 

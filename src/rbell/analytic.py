@@ -96,12 +96,14 @@ def _check_series_fits_float(n: int, r: int, xq: Fraction, k_last: int) -> None:
     k_last is certain to exceed the float range.
 
     All terms t_k = (k+r)^n x^k / k! are positive, so the partial sum is at
-    least its largest term.  log t_k is concave in k, so a bisection on the
-    sign of log t_{k+1} - log t_k finds that term among k <= k_last; any term
-    is a valid lower bound, so float error in the search cannot make the test
-    unsound.  The final comparison allows a relative slack of 1e-6 on log t_k,
-    far above the error of the few log and lgamma calls behind it, so a sum
-    that fits in a float is never rejected.
+    least the sum of any of its terms.  log t_k is concave in k, so a
+    bisection on the sign of log t_{k+1} - log t_k finds the largest term
+    among k <= k_last, and the terms within a factor e^-40 of it are the
+    consecutive ones around it; their log-sum-exp bounds the log of the sum
+    from below.  Leaving terms out only lowers that bound, so float error in
+    the search cannot make the test unsound.  The final comparison allows a
+    relative slack of 1e-6 on log t_k, far above the error of the log, lgamma
+    and exp calls behind it, so a sum that fits in a float is never rejected.
     """
     log_x = math.log(xq.numerator) - math.log(xq.denominator)
 
@@ -109,8 +111,9 @@ def _check_series_fits_float(n: int, r: int, xq: Fraction, k_last: int) -> None:
         return n * math.log(k + r) + k * log_x - math.lgamma(k + 1)
 
     # k + r >= 1 throughout: t_0 = 0^n is skipped when r = 0
-    lo = 1 if r == 0 else 0
-    hi = max(lo, k_last)
+    first = 1 if r == 0 else 0
+    last = max(first, k_last)
+    lo, hi = first, last
     while lo < hi:
         mid = (lo + hi) // 2
         if log_term(mid + 1) > log_term(mid):
@@ -118,11 +121,26 @@ def _check_series_fits_float(n: int, r: int, xq: Fraction, k_last: int) -> None:
         else:
             hi = mid
     k = lo
+    peak = log_term(k)
     slack = 1e-6 * (1 + n * math.log(k + r) + k * abs(log_x) + math.lgamma(k + 1))
-    if log_term(k) > _LOG_FLOAT_MAX + slack:
+    scaled = [1.0]  # t_j / t_k for the terms j near k
+    # The walk can only change the verdict when t_k fits but the sum through
+    # k_last, at most (last - first + 1) t_k, might not; in that band the
+    # terms within e^-40 of t_k span a few hundred indices at most.
+    if _LOG_FLOAT_MAX - math.log(last - first + 1) < peak <= _LOG_FLOAT_MAX + slack:
+        for step in (-1, 1):
+            j = k + step
+            while first <= j <= last:
+                gap = log_term(j) - peak
+                if gap < -40:
+                    break
+                scaled.append(math.exp(gap))
+                j += step
+    log_sum = peak + math.log(math.fsum(scaled))
+    if log_sum > _LOG_FLOAT_MAX + slack:
         raise DomainError(
             f"the Dobinski sum at (n={n}, r={r}, x={xq}) exceeds the float range: "
-            f"its term k={k} alone is about e^{log_term(k):.1f}"
+            f"its terms near k={k} alone sum to about e^{log_sum:.1f}"
         )
 
 

@@ -211,8 +211,8 @@ def test_determinant_polynomial_entries():
 
 
 def test_determinant_random_cross_check():
-    # Bareiss on the int matrix must agree with cofactor expansion, which is
-    # forced by wrapping one entry as a constant polynomial.
+    # Bareiss over Z must agree with Bareiss over Z[x], which is forced by
+    # wrapping one entry as a constant polynomial.
     rng = random.Random(321)
     for _ in range(60):
         n = rng.randrange(1, 6)
@@ -220,6 +220,62 @@ def test_determinant_random_cross_check():
         wrapped = [row[:] for row in m]
         wrapped[0][0] = IntPolynomial([m[0][0]])
         assert fraction_free_det(wrapped) == fraction_free_det(m)
+
+
+def _cofactor_det(m):
+    if len(m) == 1:
+        return m[0][0]
+    acc = IntPolynomial()
+    for j, e in enumerate(m[0]):
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        acc = acc + (-1) ** j * e * _cofactor_det(minor)
+    return acc
+
+
+def test_determinant_polynomial_against_cofactor_expansion():
+    x = IntPolynomial([0, 1])
+    rng = random.Random(1968)
+
+    def entry():
+        # half the entries are zero, so pivots vanish and rows must be swapped
+        if rng.random() < 0.5:
+            return IntPolynomial()
+        return IntPolynomial([rng.randint(-4, 4) for _ in range(rng.randrange(1, 4))])
+
+    for trial in range(120):
+        n = rng.randrange(1, 6)
+        m = [[entry() for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 1 and n > 1:
+            # singular: the last row is a Z[x]-combination of the others
+            m[-1] = [(x + 2) * a - 3 * b for a, b in zip(m[0], m[n - 2])]
+        elif trial % 3 == 2 and n > 1:
+            m[0][0] = IntPolynomial()
+            m[n - 1][0] = x - 1
+        det = fraction_free_det(m)
+        assert isinstance(det, IntPolynomial)
+        assert det == _cofactor_det(m), m
+        if trial % 3 == 1 and n > 1:
+            assert det.is_zero()
+
+
+def test_polynomial_exact_division():
+    x = IntPolynomial([0, 1])
+    rng = random.Random(1971)
+    for _ in range(60):
+        a = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randrange(0, 6))])
+        b = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randrange(1, 5))])
+        if b:
+            assert (a * b) // b == a
+    assert (6 * x + 4) // 2 == 3 * x + 2
+    assert IntPolynomial() // (x + 1) == IntPolynomial()
+    with pytest.raises(InconsistencyError):
+        (x * x + 1) // (x + 1)
+    with pytest.raises(InconsistencyError):
+        (3 * x) // 2  # the quotient leaves Z[x]
+    with pytest.raises(InconsistencyError):
+        x // (x * x)
+    with pytest.raises(ZeroDivisionError):
+        x // IntPolynomial()
 
 
 def test_leading_principal_minors():
@@ -289,3 +345,32 @@ def test_sturm_random_known_roots():
         hi = lo + Fraction(rng.randint(1, 50), 2)
         expected = sum(1 for a in roots if lo < a <= hi)
         assert sturm_root_count(p, lo, hi) == expected
+
+
+def test_sturm_against_sympy_count_roots():
+    sympy = pytest.importorskip("sympy")
+    sym_x = sympy.Symbol("x")
+    rng = random.Random(1967)
+    for _ in range(150):
+        # repeated rational roots, a non-monic leading coefficient of either sign
+        p = IntPolynomial([rng.choice([-3, -2, -1, 1, 2, 3])])
+        roots = []
+        for _ in range(rng.randrange(1, 5)):
+            root = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+            roots.append(root)
+            p = p * IntPolynomial([-root.numerator, root.denominator]) ** rng.randrange(1, 4)
+        if rng.random() < 0.5:
+            # a quadratic factor: two real roots, a double root or none
+            p = p * IntPolynomial([rng.randint(-5, 5), rng.randint(-4, 4), rng.choice([-2, -1, 1, 2])])
+        candidates = roots + [Fraction(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(3)]
+        candidates += [-math.inf, math.inf]
+        lo, hi = sorted(rng.sample(candidates, 2))
+        if lo == hi:
+            continue
+        closed = sympy.Poly(list(reversed(p.coeffs)), sym_x).count_roots(
+            None if lo == -math.inf else sympy.Rational(lo.numerator, lo.denominator),
+            None if hi == math.inf else sympy.Rational(hi.numerator, hi.denominator),
+        )
+        # sympy counts on [lo, hi]; the Sturm count is on (lo, hi]
+        expected = closed - (lo != -math.inf and p(lo) == 0)
+        assert sturm_root_count(p, lo, hi) == expected, (p, lo, hi)

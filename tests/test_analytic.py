@@ -1,10 +1,12 @@
 """Tests for the numeric-side routines: series, quadrature, roots, max index."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
+from rbell import analytic
 from rbell.analytic import (
     cesaro_integral,
     cesaro_integrand_forms,
@@ -70,7 +72,22 @@ def test_dobinski_float_range():
     # predicted from the largest term, before any summation
     with pytest.raises(DomainError, match="float range: its term"):
         dobinski_series_sum(200, 3, 5, 1e-12)
-    # every term fits but the sum does not: the conversion backstop
+    # every term fits but the sum does not: predicted from the terms near the largest
+    with pytest.raises(DomainError, match="float range"):
+        dobinski_series_sum(219, 0, 1, 1e-9)
+
+
+def test_dobinski_overflow_predicted_before_summing():
+    # every term x^k/k! fits, the sum e^710 does not; summing takes seconds
+    started = time.perf_counter()
+    with pytest.raises(DomainError, match="float range: its terms near"):
+        dobinski_series_sum(0, 0, 710, 1e-9)
+    assert time.perf_counter() - started < 0.5
+
+
+def test_dobinski_conversion_backstop(monkeypatch):
+    # without the prediction, the final float conversion still raises DomainError
+    monkeypatch.setattr(analytic, "_check_series_fits_float", lambda *args: None)
     with pytest.raises(DomainError, match="float range"):
         dobinski_series_sum(219, 0, 1, 1e-9)
 
@@ -224,6 +241,12 @@ def test_rootedness_structure():
                 assert report == (n, n, False)
             else:
                 assert report == (n, n - 1, True)
+
+
+def test_rootedness_at_degree_40():
+    assert real_rootedness_report(40, 0) == (40, 39, True)
+    for r in range(1, 4):
+        assert real_rootedness_report(40, r) == (40, 40, False)
 
 
 def test_max_index_examples():

@@ -12,6 +12,7 @@ from rbell.cli import main
 from rbell.stirling import stirling2r_explicit
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "table_6_6.json"
+VERIFY_GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_all.txt"
 
 
 def run(capsys, *argv):
@@ -87,6 +88,12 @@ def test_table_json_matches_golden_bytes(capsys):
     code, out, _ = run(capsys, "table", "--nmax", "6", "--rmax", "6", "--format", "json")
     assert code == 0
     assert out.encode() == GOLDEN.read_bytes()
+
+
+def test_verify_all_matches_golden_bytes(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all")
+    assert code == 0
+    assert out.encode() == VERIFY_GOLDEN.read_bytes()
 
 
 def test_table_plain_is_deterministic(capsys):

@@ -126,3 +126,11 @@ def test_cigler_validation():
         cigler_d(0, 0, 1)
     with pytest.raises(DomainError):
         cigler_d(2, 2, 1)
+
+
+def test_cigler_closed_forms_to_size_10():
+    for r in range(4):
+        for n in range(1, 11):
+            for k in (0, 1):
+                computed, expected = cigler_d(n, k, r)
+                assert computed == expected, (n, k, r)
