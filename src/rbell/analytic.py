@@ -42,6 +42,27 @@ def _float_upper(q: Fraction) -> float:
     return f
 
 
+def _to_float(total: Fraction, tail: Fraction, what: str) -> ApproxReal:
+    """total rounded to a float, its err the tail bound plus the exact rounding
+    error; a total past the float range raises DomainError naming what."""
+    try:
+        value = float(total)
+        return ApproxReal(value, _float_upper(tail + abs(Fraction(value) - total)))
+    except OverflowError:
+        raise DomainError(f"{what} exceeds the float range") from None
+
+
+def _times_exp_neg(s: ApproxReal, x: Fraction) -> tuple[float, Fraction]:
+    """e^{-x} s as a float, with an exact bound on its error: the error of s
+    scaled by e^{-x}, the slack of libm's exp, and the product's rounding."""
+    xf = float(x)
+    w = math.exp(-xf)
+    value = s.value * w
+    d = _exp_rel_bound(xf)
+    err = Fraction(w) * (Fraction(s.err) * (1 + d) + Fraction(abs(s.value)) * d)
+    return value, err + Fraction(math.ulp(value))
+
+
 def _check_tol(tol: float) -> Fraction:
     if not (isinstance(tol, (int, float)) and math.isfinite(tol)) or tol <= 0:
         raise DomainError(f"tolerance must be a positive finite number, got {tol!r}")
@@ -60,6 +81,10 @@ def dobinski_series_sum(n: int, r: int, x, tol: float) -> ApproxReal:
     and the geometric tail bound 2 t_{K+1} has dropped below
     tol/4 * max(1, partial sum).  err is that tail bound plus the exact float
     representation error of the returned value.
+
+    With x = p/q, the partial sum through index k is kept as one integer
+    numerator over the common denominator q^k k!, so no step pays for a gcd,
+    and the stopping test is an exact comparison of cross-multiplied integers.
     """
     _check_natural(n=n, r=r)
     tol_f = _check_tol(tol)
@@ -69,26 +94,23 @@ def dobinski_series_sum(n: int, r: int, x, tol: float) -> ApproxReal:
 
     k_min = max(n + r, math.ceil(_TWO_E_UPPER * xq))
     _check_series_fits_float(n, r, xq, k_min - 1)
-    total = Fraction(0)
-    power = Fraction(1)  # x^k / k!
+    p, q = xq.numerator, xq.denominator
+    tol_num, tol_den = tol_f.numerator, tol_f.denominator
+    num, den, p_pow = r**n, 1, 1  # partial sum num / den through k = 0
     k = 0
     while True:
-        total += (k + r) ** n * power
-        power_next = power * xq / (k + 1)
-        t_next = (k + 1 + r) ** n * power_next
-        if k + 1 >= k_min and 4 * (2 * t_next) <= tol_f * max(Fraction(1), total):
+        p_pow *= p
+        den *= q * (k + 1)
+        num *= q * (k + 1)
+        term = (k + 1 + r) ** n * p_pow  # t_{k+1} = term / den
+        # 8 t_{k+1} <= tol * max(1, partial sum), both sides times den * tol_den
+        if k + 1 >= k_min and 8 * term * tol_den <= tol_num * max(den, num):
             break
-        power = power_next
+        num += term
         k += 1
 
-    try:
-        value = float(total)
-        rep_err = abs(Fraction(value) - total)
-        return ApproxReal(value, _float_upper(2 * t_next + rep_err))
-    except OverflowError:
-        raise DomainError(
-            f"the Dobinski sum at (n={n}, r={r}, x={xq}) exceeds the float range"
-        ) from None
+    what = f"the Dobinski sum at (n={n}, r={r}, x={xq})"
+    return _to_float(Fraction(num, den), Fraction(2 * term, den), what)
 
 
 def _check_series_fits_float(n: int, r: int, xq: Fraction, k_last: int) -> None:
@@ -151,16 +173,8 @@ def dobinski_eval(n: int, r: int, x, tol: float) -> ApproxReal:
     and the e^{-x} multiplication; it stays below tol * max(1, B_{n,r}(x))
     at the tolerances the acceptance grid uses.
     """
-    s = dobinski_series_sum(n, r, x, tol)
-    xf = float(Fraction(x))
-    w = math.exp(-xf)
-    value = s.value * w
-    d = _exp_rel_bound(xf)
-    bound = (
-        Fraction(w) * (Fraction(s.err) * (1 + d) + Fraction(abs(s.value)) * d)
-        + Fraction(math.ulp(value))
-    )
-    return ApproxReal(value, _float_upper(bound))
+    value, err = _times_exp_neg(dobinski_series_sum(n, r, x, tol), Fraction(x))
+    return ApproxReal(value, _float_upper(err))
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +255,7 @@ def hypergeom_1f1(a, b, x, tol: float) -> ApproxReal:
         term = term_next
         k += 1
 
-    value = float(total)
-    rep_err = abs(Fraction(value) - total)
-    return ApproxReal(value, _float_upper(2 * abs(term_next) + rep_err))
+    return _to_float(total, 2 * abs(term_next), f"1F1({aq}; {bq}; {xq})")
 
 
 def kummer_residual(a, b, x, tol: float) -> ApproxReal:
@@ -255,14 +267,7 @@ def kummer_residual(a, b, x, tol: float) -> ApproxReal:
     left = hypergeom_1f1(aq, bq, xq, tol)
     right = hypergeom_1f1(bq - aq, bq, -xq, tol)
 
-    xf = float(xq)
-    w = math.exp(-xf)
-    lhs_value = w * left.value
-    d = _exp_rel_bound(xf)
-    lhs_err = (
-        Fraction(w) * (Fraction(left.err) * (1 + d) + Fraction(abs(left.value)) * d)
-        + Fraction(math.ulp(lhs_value))
-    )
+    lhs_value, lhs_err = _times_exp_neg(left, xq)
     value = abs(lhs_value - right.value)
     bound = lhs_err + Fraction(right.err) + Fraction(math.ulp(max(value, abs(lhs_value))))
     return ApproxReal(value, _float_upper(bound))

@@ -54,10 +54,6 @@ def _emit(op: str, params: dict, value) -> None:
     print(json.dumps({"op": op, "params": params, "value": value}, separators=(",", ":")))
 
 
-def _format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -91,29 +87,18 @@ def _cmd_bell(args) -> int:
     if args.poly:
         value = list(rbell_poly(args.n, args.r).poly.coeffs)
     elif args.x is not None:
-        params["x"] = _format_rational(args.x)
-        value = _format_rational(rbell_poly(args.n, args.r).poly(args.x))
+        params["x"] = str(args.x)
+        value = str(rbell_poly(args.n, args.r).poly(args.x))
     else:
         value = str(rbell_number(args.n, args.r))
     _emit("bell", params, value)
     return 0
 
 
-def _cmd_stirling2(args) -> int:
-    _emit(
-        "stirling2",
-        {"n": args.n, "k": args.k, "r": args.r},
-        str(stirling2r(args.n, args.k, args.r)),
-    )
-    return 0
-
-
-def _cmd_stirling1(args) -> int:
-    _emit(
-        "stirling1",
-        {"n": args.n, "k": args.k, "r": args.r},
-        str(stirling1r(args.n, args.k, args.r)),
-    )
+def _cmd_stirling(args) -> int:
+    # stirling1r or stirling2r, read from the module globals at call time
+    number = globals()[f"{args.command}r"](args.n, args.k, args.r)
+    _emit(args.command, {"n": args.n, "k": args.k, "r": args.r}, str(number))
     return 0
 
 
@@ -127,7 +112,7 @@ def _cmd_dobinski(args) -> int:
     approx = dobinski_eval(args.n, args.r, args.x, args.tol)
     _emit(
         "dobinski",
-        {"n": args.n, "r": args.r, "x": _format_rational(args.x), "tol": args.tol},
+        {"n": args.n, "r": args.r, "x": str(args.x), "tol": args.tol},
         {"value": approx.value, "err": approx.err},
     )
     return 0
@@ -168,7 +153,7 @@ def _cmd_maxindex(args) -> int:
         {"n": args.n, "r": args.r},
         {
             "maximizers": list(report.maximizers),
-            "ratio_estimate": _format_rational(report.ratio_estimate),
+            "ratio_estimate": str(report.ratio_estimate),
             "bound_holds": report.bound_holds,
         },
     )
@@ -231,17 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--poly", action="store_true", help="print coefficients low-to-high")
     p.set_defaults(handler=_cmd_bell)
 
-    p = sub.add_parser("stirling2", help="r-Stirling number of the second kind")
-    p.add_argument("-n", type=_natural, required=True)
-    p.add_argument("-k", type=_natural, required=True)
-    p.add_argument("-r", type=_natural, required=True)
-    p.set_defaults(handler=_cmd_stirling2)
-
-    p = sub.add_parser("stirling1", help="r-Stirling number of the first kind")
-    p.add_argument("-n", type=_natural, required=True)
-    p.add_argument("-k", type=_natural, required=True)
-    p.add_argument("-r", type=_natural, required=True)
-    p.set_defaults(handler=_cmd_stirling1)
+    for command, kind in (("stirling2", "second"), ("stirling1", "first")):
+        p = sub.add_parser(command, help=f"r-Stirling number of the {kind} kind")
+        p.add_argument("-n", type=_natural, required=True)
+        p.add_argument("-k", type=_natural, required=True)
+        p.add_argument("-r", type=_natural, required=True)
+        p.set_defaults(handler=_cmd_stirling)
 
     p = sub.add_parser("hankel", help="Hankel transform of the r-Bell sequence")
     p.add_argument("-r", type=_natural, required=True)

@@ -85,6 +85,18 @@ def test_dobinski_overflow_predicted_before_summing():
     assert time.perf_counter() - started < 0.5
 
 
+def test_dobinski_long_exact_sum_is_fast_and_encloses():
+    mpmath = pytest.importorskip("mpmath")
+    # 3856 terms of x^k/k! summing to e^709, just inside the float range
+    started = time.perf_counter()
+    got = dobinski_series_sum(0, 0, 709, 1e-9)
+    assert time.perf_counter() - started < 1.0
+    with mpmath.workdps(60):
+        exact = mpmath.exp(709)
+        assert abs(mpmath.mpf(got.value) - exact) <= mpmath.mpf(got.err)
+        assert mpmath.mpf(got.err) <= mpmath.mpf(1e-9) * exact
+
+
 def test_dobinski_conversion_backstop(monkeypatch):
     # without the prediction, the final float conversion still raises DomainError
     monkeypatch.setattr(analytic, "_check_series_fits_float", lambda *args: None)
@@ -174,6 +186,12 @@ def test_hypergeom_validation():
     # negative non-integer b is fine
     ok = hypergeom_1f1(1, Fraction(-1, 2), Fraction(1, 4), 1e-9)
     assert math.isfinite(ok.value)
+
+
+def test_hypergeom_past_float_range_is_a_domain_error():
+    # 1F1(1; 1; x) = e^x, past the float range from x = 710 on
+    with pytest.raises(DomainError, match="float range"):
+        hypergeom_1f1(1, 1, 710, 1e-9)
 
 
 def test_kummer_residual():

@@ -10,9 +10,13 @@ import pytest
 from rbell.bell import rbell_table
 from rbell.cli import main
 from rbell.stirling import stirling2r_explicit
+from rbell.verify import SUITES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "table_6_6.json"
 VERIFY_GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_all.txt"
+VERIFY_SMALL_GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_all_n3_r2.txt"
+# every suite but oracle, in registry order, at --nmax 14 --rmax 9
+VERIFY_WIDE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_suites_n14_r9.txt"
 
 
 def run(capsys, *argv):
@@ -94,6 +98,22 @@ def test_verify_all_matches_golden_bytes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "all")
     assert code == 0
     assert out.encode() == VERIFY_GOLDEN.read_bytes()
+
+
+def test_verify_small_grid_matches_golden_bytes(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--nmax", "3", "--rmax", "2")
+    assert code == 0
+    assert out.encode() == VERIFY_SMALL_GOLDEN.read_bytes()
+
+
+def test_verify_wide_grid_matches_golden_bytes(capsys):
+    suites = [s for s in SUITES if s != "oracle"]
+    out = ""
+    for suite in suites:
+        code, text, _ = run(capsys, "verify", "--suite", suite, "--nmax", "14", "--rmax", "9")
+        assert code == 0, suite
+        out += text
+    assert out.encode() == VERIFY_WIDE_GOLDEN.read_bytes()
 
 
 def test_table_plain_is_deterministic(capsys):

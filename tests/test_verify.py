@@ -1,8 +1,14 @@
 """Tests for the verification-suite plumbing."""
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
-from rbell.errors import DomainError
+from rbell import verify
+from rbell.algebra import ApproxReal, IntPolynomial
+from rbell.cli import main
+from rbell.errors import ConvergenceError, DomainError
 from rbell.verify import SUITES, CheckResult, run_suite
 
 
@@ -64,3 +70,431 @@ def test_runs_are_deterministic():
     a = run_suite("definitions", nmax=5, rmax=3)
     b = run_suite("definitions", nmax=5, rmax=3)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# FAIL paths: a check fed one wrong library value reports the first
+# counterexample of its scan order, and the CLI then exits 1.  The patches
+# replace the names rbell.verify reads at call time.
+
+
+def _at(point, change):
+    """Patch maker: call the real function, and where its arguments equal
+    point, pass the result through change."""
+
+    def make(original):
+        def fake(*args):
+            value = original(*args)
+            return change(value) if args == point else value
+
+        return fake
+
+    return make
+
+
+def _raise_once(point, exc):
+    """Patch maker: raise exc on the first call with arguments point."""
+
+    def make(original):
+        raised = []
+
+        def fake(*args):
+            if args == point and not raised:
+                raised.append(args)
+                raise exc
+            return original(*args)
+
+        return fake
+
+    return make
+
+
+def _plus(delta):
+    return lambda value: value + delta
+
+
+def _poly_plus(delta):
+    return lambda rb: dataclasses.replace(rb, poly=rb.poly + delta)
+
+
+def _const(value):
+    return lambda _: value
+
+
+def _bump_last(values):
+    return values[:-1] + [values[-1] + 1]
+
+
+def _fail(name, detail):
+    return CheckResult(name, "FAIL", detail)
+
+
+def _run_patched(monkeypatch, patches, call):
+    with monkeypatch.context() as m:
+        for name, make in patches.items():
+            m.setattr(verify, name, make(getattr(verify, name)))
+        return call()
+
+
+def _grid_flags(nmax, rmax):
+    flags = []
+    if nmax is not None:
+        flags += ["--nmax", str(nmax)]
+    if rmax is not None:
+        flags += ["--rmax", str(rmax)]
+    return flags
+
+
+G = (4, 3)
+ONE = Fraction(1)
+
+FAIL_CASES = [
+    pytest.param(
+        "definitions", G, {"stirling2r_explicit": _at((2, 1, 1), _plus(1))},
+        _fail("explicit-formula", "(n=2, k=1, r=1): recurrence 3 vs alternating sum 4"),
+        id="explicit-formula",
+    ),
+    pytest.param(
+        "definitions", G, {"rbell_number": _at((3, 1), _plus(1))},
+        _fail("stirling-row-sums", "(n=3, r=1): row sum 15 vs B = 16"),
+        id="stirling-row-sums",
+    ),
+    pytest.param(
+        "definitions", G, {"stirling2r": _at((4, 3, 2), _plus(1))},
+        _fail("cross-r-stirling", "(n=2, k=1, r=2): 6 vs 5"),
+        id="cross-r-stirling",
+    ),
+    pytest.param(
+        "definitions", G, {"stirling2r": _at((3, 2, 0), _const(0))},
+        _fail("stirling-log-concavity", "(n=3, k=2, r=0): 0 < 1"),
+        id="stirling-log-concavity",
+    ),
+    pytest.param(
+        "definitions", G, {"rbell_table": lambda f: lambda n, r: f(n, r)[:-1]},
+        _fail("number-table", "7x7 table differs from the reference values"),
+        id="number-table",
+    ),
+    pytest.param(
+        "definitions", G, {"rbell_poly": _at((3, 1), _poly_plus(1))},
+        _fail(
+            "polynomial-formulas",
+            "(n=3, r=1): IntPolynomial([2, 7, 6, 1]) vs closed form IntPolynomial([1, 7, 6, 1])",
+        ),
+        id="polynomial-formulas",
+    ),
+    pytest.param(
+        "definitions", G, {"binomial": _at((2, 1), _plus(1))},
+        _fail("bell-addition", "(n=2, x=1/2, y=1/2): 2 vs 9/4"),
+        id="bell-addition",
+    ),
+    pytest.param(
+        "definitions", G, {"horizontal_check": _at((2, 1), _plus(IntPolynomial([0, 1])))},
+        _fail("horizontal-gf", "(n=2, r=1): residual IntPolynomial([0, 1])"),
+        id="horizontal-gf",
+    ),
+    pytest.param(
+        "recurrences", G, {"cross_r_step": _at((2, 1), _plus(1))},
+        _fail(
+            "route-agreement",
+            "(n=2, r=1): cross-r division gives IntPolynomial([2, 3, 1]), "
+            "direct IntPolynomial([1, 3, 1])",
+        ),
+        id="route-agreement",
+    ),
+    pytest.param(
+        "recurrences", G, {"rbell_poly": _at((3, 2), _poly_plus(1))},
+        _fail(
+            "derivative-relation",
+            "(n=2, r=2): IntPolynomial([0, 5, 2]) vs IntPolynomial([1, 5, 2])",
+        ),
+        id="derivative-relation",
+    ),
+    pytest.param(
+        "recurrences", G, {"rbell_poly": _at((2, 1), _poly_plus(IntPolynomial([0, 0, 1])))},
+        _fail("monic-shape", "(n=2, r=1): IntPolynomial([1, 3, 2]) not monic of degree n"),
+        id="monic-shape-leading",
+    ),
+    pytest.param(
+        "recurrences", G, {"rbell_poly": _at((2, 3), _poly_plus(1))},
+        _fail("monic-shape", "(n=2, r=3): constant term 10 vs r^n = 9"),
+        id="monic-shape-constant",
+    ),
+    pytest.param(
+        "recurrences", G, {"whitehead_step": _at((1, 1), _plus(1))},
+        _fail("whitehead-step", "(n=1, r=1): 6 vs 5"),
+        id="whitehead-step",
+    ),
+    pytest.param(
+        "recurrences", G, {"whitehead_row_sum": _at((3,), _plus(-1))},
+        _fail("whitehead-step", "row sum at n=3: 12 vs 13"),
+        id="whitehead-step-row-sum",
+    ),
+    pytest.param(
+        "recurrences", G, {"rbell_number": _at((4, 1), _plus(1))},
+        _fail("bell-shift", "n=4"),
+        id="bell-shift",
+    ),
+    pytest.param(
+        "recurrences", G,
+        {"cross_r_printed": lambda f: lambda n, r: verify.rbell_poly(n, r).poly},
+        _fail(
+            "cross-r-printed-form",
+            "expected the printed simplified form to disagree and the division form to "
+            "agree; got printed IntPolynomial([4, 5, 1]), corrected IntPolynomial([4, 5, 1]), "
+            "actual IntPolynomial([4, 5, 1])",
+        ),
+        id="cross-r-printed-form",
+    ),
+    pytest.param(
+        "carlitz", G, {"carlitz_compose": _at((1, 2, 2), _plus(1))},
+        _fail("carlitz-compose", "(n=1, m=2, r=2): 38 vs B = 37"),
+        id="carlitz-compose",
+    ),
+    pytest.param(
+        "carlitz", G, {"carlitz_inverse": _at((2, 1, 1), _plus(1))},
+        _fail("carlitz-inverse", "(n=2, m=1, r=1): 11 vs B = 10"),
+        id="carlitz-inverse",
+    ),
+    pytest.param(
+        "carlitz", G, {"stirling2r": _at((3, 3, 1), _plus(1))},
+        _fail("carlitz-roundtrip", "(n=0, m=2, r=1): 6 vs 5"),
+        id="carlitz-roundtrip",
+    ),
+    pytest.param(
+        "transforms", G,
+        {"binomial_transform": lambda f: lambda s: _bump_last(f(s)) if s[1] == 1 else f(s)},
+        _fail("transform-roundtrip", "r=0"),
+        id="transform-roundtrip",
+    ),
+    pytest.param(
+        "transforms", G,
+        {
+            "inverse_binomial_transform":
+                lambda f: lambda s: _bump_last(f(s)) if s[1] == 3 else f(s)
+        },
+        _fail("transform-roundtrip", "r=2 (reverse order)"),
+        id="transform-roundtrip-reverse",
+    ),
+    pytest.param(
+        "transforms", G, {"rbell_poly": _at((3, 2), _poly_plus(1))},
+        _fail("poly-binomial-relations", "r=1: inverse transform"),
+        id="poly-binomial-relations",
+    ),
+    pytest.param(
+        "transforms", G, {"rbell_number": _at((4, 3), _plus(1))},
+        _fail("layman-hankel", "(r=2, size=3): 2 vs 3"),
+        id="layman-hankel",
+    ),
+    pytest.param(
+        "transforms", G, {"hankel_transform_rbell": _at((3, 5), _bump_last)},
+        _fail("hankel-products", "r=3: [1, 1, 2, 12, 288, 34561] vs [1, 1, 2, 12, 288, 34560]"),
+        id="hankel-products",
+    ),
+    pytest.param(
+        "transforms", G, {"log_convexity_check": lambda f: lambda s: f(s) and s[1] != 3},
+        _fail("log-convexity", "r=2"),
+        id="log-convexity",
+    ),
+    pytest.param(
+        "cigler", G, {"cigler_d": _at((2, 1, 1), lambda pair: (pair[0] + 1, pair[1]))},
+        _fail(
+            "cigler-determinants",
+            "(n=2, k=1, r=1): IntPolynomial([1, 2, 2, 1]) vs IntPolynomial([0, 2, 2, 1])",
+        ),
+        id="cigler-determinants",
+    ),
+    pytest.param(
+        "dobinski", G,
+        {"dobinski_eval": _at((2, 1, ONE, 1e-9), lambda a: ApproxReal(a.value + 1, a.err))},
+        _fail(
+            "dobinski-enclosure",
+            "(n=2, r=1, x=1): ApproxReal(value=5.999999999922543, err=1.4404427537291323e-10) "
+            "does not enclose 5",
+        ),
+        id="dobinski-enclosure",
+    ),
+    pytest.param(
+        "dobinski", G,
+        {"dobinski_eval": _at((3, 2, Fraction(2), 1e-9), lambda a: ApproxReal(a.value, 1.0))},
+        _fail("dobinski-enclosure", "(n=3, r=2, x=2): err 1.0 above tol * max(1, exact)"),
+        id="dobinski-enclosure-tol",
+    ),
+    pytest.param(
+        "integral", G,
+        {"cesaro_integral": _raise_once((3, 1, 1e-8), ConvergenceError("refinement cap"))},
+        _fail("cesaro-integral", "(n=3, r=1): refinement cap"),
+        id="cesaro-integral-convergence",
+    ),
+    pytest.param(
+        "integral", G, {"rbell_number": _at((2, 3), _plus(1))},
+        _fail("cesaro-integral", "(n=2, r=3): 17.0 vs exact 18"),
+        id="cesaro-integral",
+    ),
+    pytest.param(
+        "integral", G,
+        {"sin_moment": _at((3, 2, 1e-8), lambda a: ApproxReal(a.value + 1e-6, a.err))},
+        _fail("sin-moment", "(j=3, n=2): 7.068584470577029 vs 7.0685834705770345"),
+        id="sin-moment",
+    ),
+    pytest.param(
+        "integral", G,
+        {"dobinski_series_sum": _at((2, 1, 1, 1e-9), lambda a: ApproxReal(a.value + 1e-6, a.err))},
+        _fail(
+            "compelling-identity",
+            "(n=2, r=1): |13.591410142084674 - 13.591409142295236| above 4.064951001333172e-10",
+        ),
+        id="compelling-identity",
+    ),
+    pytest.param(
+        "ogf", G,
+        {"ogf_coefficient_pair": _at((2, 1, Fraction(1, 50)), lambda p: (p[0], p[1] + 1))},
+        _fail("ogf-coefficient-pair", "(m=2, r=1, z=1/50): 25/55272 vs 55297/55272"),
+        id="ogf-coefficient-pair",
+    ),
+    pytest.param(
+        "ogf", G,
+        {"egf_coeffs": _at((4, 1, Fraction(1, 2)), lambda c: c[:3] + [c[3] + 1] + c[4:])},
+        _fail("egf-coefficients", "(n=3, r=1, x=1/2): n!*c = 97/8 vs 49/8"),
+        id="egf-coefficients",
+    ),
+    pytest.param(
+        "kummer", G,
+        {"kummer_residual": _at((ONE, Fraction(2), Fraction(-1, 2), 1e-10),
+                                _const(ApproxReal(1.0, 0.0)))},
+        _fail(
+            "kummer-transformation",
+            "(a=1, b=2, x=-1/2): residual ApproxReal(value=1.0, err=0.0)",
+        ),
+        id="kummer-transformation",
+    ),
+    pytest.param(
+        "roots", G,
+        {"real_rootedness_report": _at((3, 2), lambda rep: rep._replace(distinct_neg_roots=2))},
+        _fail(
+            "real-rootedness",
+            "(n=3, r=2): RootednessReport(degree=3, distinct_neg_roots=2, root_at_zero=False)",
+        ),
+        id="real-rootedness",
+    ),
+    pytest.param(
+        "roots", G,
+        {"real_rootedness_report": _at((2, 0), lambda rep: rep._replace(root_at_zero=False))},
+        _fail(
+            "real-rootedness",
+            "(n=2, r=0): RootednessReport(degree=2, distinct_neg_roots=1, root_at_zero=False)",
+        ),
+        id="real-rootedness-r0",
+    ),
+    pytest.param(
+        "maxindex", G,
+        {"max_index": _at((3, 2), lambda rep: dataclasses.replace(rep, maximizers=(2, 4)))},
+        _fail("maximizing-index", "(n=3, r=2): maximizers (2, 4) not consecutive"),
+        id="maximizing-index",
+    ),
+    pytest.param(
+        "maxindex", G,
+        {"max_index": _at((4, 1), lambda rep: dataclasses.replace(rep, bound_holds=False))},
+        _fail("maximizing-index", "(n=4, r=1): no maximizer within 1 of 99/52"),
+        id="maximizing-index-bound",
+    ),
+    pytest.param(
+        "oracle", G,
+        {"enumerate_restricted_partitions":
+            _at((2, 1), lambda c: dataclasses.replace(c, total=c.total + 1))},
+        _fail("oracle-totals", "(n=2, r=1): enumerated 6 vs 5"),
+        id="oracle-totals",
+    ),
+    pytest.param(
+        "oracle", G, {"stirling2r": _at((4, 2, 1), _plus(1))},
+        _fail("oracle-totals", "(n=3, r=1, k=2): enumerated 7 vs 8"),
+        id="oracle-totals-blocks",
+    ),
+    pytest.param(
+        "oracle", G,
+        {
+            "enumerate_restricted_partitions":
+                _at((2, 2), lambda c: dataclasses.replace(c, total=1)),
+            "rbell_number": _at((2, 2), _const(1)),
+        },
+        _fail("oracle-monotonicity", "(n=2, r=1): 1 < 5"),
+        id="oracle-monotonicity",
+    ),
+]
+
+
+@pytest.mark.parametrize("suite, grid, patches, expected", FAIL_CASES)
+def test_check_reports_its_first_counterexample(
+    monkeypatch, capsys, suite, grid, patches, expected
+):
+    results = _run_patched(monkeypatch, patches, lambda: run_suite(suite, *grid))
+    assert [check for check in results if check.name == expected.name] == [expected]
+
+    argv = ["verify", "--suite", suite, *_grid_flags(*grid)]
+    code = _run_patched(monkeypatch, patches, lambda: main(argv))
+    out = capsys.readouterr().out
+    assert code == 1
+    assert f"{expected.name}: FAIL ({expected.detail})\n" in out
+
+
+def test_every_check_has_a_fail_case():
+    names = {case.values[3].name for case in FAIL_CASES}
+    assert names == {check.name for check in run_suite("all", 2, 1)}
+
+
+# Three checks scan less than the grid asks: cigler n <= 6, layman-hankel
+# r <= 5, sin-moment n <= 8.  A wrong value past a cap goes unseen.
+CAP_CASES = [
+    pytest.param(
+        "cigler", (None, None), {"cigler_d": _at((6, 1, 1), lambda pair: (pair[0] + 1, pair[1]))},
+        CheckResult("cigler-determinants", "PASS"),
+        id="cigler-default",
+    ),
+    pytest.param(
+        "cigler", (8, 1), {"cigler_d": _at((7, 1, 1), lambda pair: (pair[0] + 1, pair[1]))},
+        CheckResult("cigler-determinants", "PASS"),
+        id="cigler-past-cap",
+    ),
+    pytest.param(
+        "cigler", (8, 1), {"cigler_d": _at((6, 0, 1), lambda pair: (pair[0] + 1, pair[1]))},
+        _fail(
+            "cigler-determinants",
+            "(n=6, k=0, r=1): IntPolynomial([1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 34560]) "
+            "vs IntPolynomial([0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 34560])",
+        ),
+        id="cigler-at-cap",
+    ),
+    pytest.param(
+        "transforms", (4, 7), {"rbell_number": _at((4, 7), _plus(1))},
+        CheckResult("layman-hankel", "PASS"),
+        id="layman-past-cap",
+    ),
+    pytest.param(
+        "transforms", (4, 7), {"rbell_number": _at((4, 6), _plus(1))},
+        _fail("layman-hankel", "(r=5, size=3): 2 vs 3"),
+        id="layman-at-cap",
+    ),
+    pytest.param(
+        "integral", (None, 0),
+        {"sin_moment": _at((1, 7, 1e-8), lambda a: ApproxReal(a.value + 1, a.err))},
+        CheckResult("sin-moment", "PASS"),
+        id="sin-moment-default",
+    ),
+    pytest.param(
+        "integral", (10, 0),
+        {"sin_moment": _at((1, 9, 1e-8), lambda a: ApproxReal(a.value + 1, a.err))},
+        CheckResult("sin-moment", "PASS"),
+        id="sin-moment-past-cap",
+    ),
+    pytest.param(
+        "integral", (10, 0),
+        {"sin_moment": _at((1, 8, 1e-8), lambda a: ApproxReal(a.value + 1, a.err))},
+        _fail("sin-moment", "(j=1, n=8): 1.000038958242232 vs 3.895824223201628e-05"),
+        id="sin-moment-at-cap",
+    ),
+]
+
+
+@pytest.mark.parametrize("suite, grid, patches, expected", CAP_CASES)
+def test_caps_bound_the_scan(monkeypatch, suite, grid, patches, expected):
+    results = _run_patched(monkeypatch, patches, lambda: run_suite(suite, *grid))
+    assert [check for check in results if check.name == expected.name] == [expected]
