@@ -10,11 +10,9 @@ reports an error bound alongside every approximate value.
 from .algebra import (
     ApproxReal,
     IntPolynomial,
-    RationalSeries,
     falling_factorial_poly,
     fraction_free_det,
     pochhammer,
-    series_exp,
     squarefree_part,
     sturm_root_count,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "PartitionCounts",
     "QuadratureResult",
     "RBellPoly",
-    "RationalSeries",
     "RootednessReport",
     "bell_poly",
     "binomial",
@@ -116,7 +113,6 @@ __all__ = [
     "rbell_table",
     "real_rootedness_report",
     "run_suite",
-    "series_exp",
     "sin_moment",
     "squarefree_part",
     "stirling1r",

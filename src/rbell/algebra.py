@@ -1,5 +1,5 @@
-"""Exact-arithmetic substrate: integer polynomials, truncated rational power
-series, fraction-free determinants, Sturm root counting and factorial symbols.
+"""Exact-arithmetic substrate: integer polynomials, fraction-free
+determinants, Sturm root counting and factorial symbols.
 
 Integers are plain Python ints and rationals are `fractions.Fraction`, so every
 value here is exact.  The one float-bearing type, :class:`ApproxReal`, never
@@ -191,90 +191,6 @@ def _as_poly(v) -> "IntPolynomial":
     if isinstance(v, int) and not isinstance(v, bool):
         return IntPolynomial((v,))
     return NotImplemented
-
-
-@dataclass(frozen=True)
-class RationalSeries:
-    """Power series over Fraction truncated at a fixed order.
-
-    ``coeffs[k]`` is the coefficient of z^k and has length ``order + 1``;
-    arithmetic truncates to the shorter order and never reads beyond it.
-    """
-
-    order: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if self.order < 0:
-            raise DomainError("series order must be a natural number")
-        if len(self.coeffs) != self.order + 1:
-            raise DomainError(
-                f"series of order {self.order} needs {self.order + 1} coefficients, "
-                f"got {len(self.coeffs)}"
-            )
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-
-    @classmethod
-    def build(cls, values: Iterable[Scalar], order: int | None = None) -> "RationalSeries":
-        """Series from leading coefficients, zero-padded up to ``order``."""
-        cs = [Fraction(v) for v in values]
-        if order is None:
-            order = len(cs) - 1
-            if order < 0:
-                raise DomainError("empty coefficient list and no order given")
-        if len(cs) > order + 1:
-            cs = cs[: order + 1]
-        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
-        return cls(order, tuple(cs))
-
-    def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        if not isinstance(other, RationalSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return RationalSeries(
-            n, tuple(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
-        )
-
-    def __neg__(self) -> "RationalSeries":
-        return RationalSeries(self.order, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "RationalSeries") -> "RationalSeries":
-        if not isinstance(other, RationalSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: "RationalSeries") -> "RationalSeries":
-        if not isinstance(other, RationalSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a:
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return RationalSeries(n, tuple(out))
-
-
-def series_exp(f: RationalSeries) -> RationalSeries:
-    """exp(f) to the truncation order of f, for series with zero constant term.
-
-    Uses the derivative recurrence g' = f'.g, i.e.
-    n.g_n = sum_{k=1..n} k.f_k.g_{n-k} with g_0 = 1.
-    """
-    if f.coeffs[0] != 0:
-        raise DomainError("series_exp requires a zero constant term")
-    n_max = f.order
-    g = [Fraction(1)] + [Fraction(0)] * n_max
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            fk = f.coeffs[k]
-            if fk:
-                acc += k * fk * g[n - k]
-        g[n] = acc / n
-    return RationalSeries(n_max, tuple(g))
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,21 @@ confluent hypergeometric series with Kummer's transformation, the Cesaro-type
 integral representation, Sturm-certified root structure, and the
 maximizing-index bound.
 
-Series summation is done in exact rational arithmetic and only converted to
-float at the very end, so the reported error bounds consist of a provable
-geometric tail bound plus the exactly-computed float representation error.
-The quadrature error is estimated from successive Simpson refinements (not
-certified); the e^{-x} factors rely on libm's exp being within a few ulp.
+Each numeric scheme is written once:
+
+- The Dobinski and 1F1 series are summed exactly as one integer numerator
+  over a running common denominator, stopped by an exact comparison of
+  cross-multiplied integers, and converted to float only at the very end
+  (`_to_float`), so the reported error bound is a provable geometric tail
+  bound plus the exactly computed float representation error.
+- The e^{-x} factors of `dobinski_eval` and `kummer_residual` share one
+  error-propagation block (`_times_exp_neg`), which relies on libm's exp
+  being within a few ulp.
+- `egf_coeffs` runs the exponential recurrence on its own exact Fraction
+  list.
+- `cesaro_integral` and `sin_moment` share one Simpson doubling loop
+  (`_simpson_refinements`); each keeps only its stopping rule.  The
+  quadrature error is estimated from successive refinements, not certified.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import ApproxReal, RationalSeries, pochhammer, series_exp, sturm_root_count
+from .algebra import ApproxReal, pochhammer, sturm_root_count
 from .bell import rbell_number, rbell_poly
 from .errors import ConvergenceError, DomainError, InconsistencyError
 from .stirling import _check_natural, stirling_row
@@ -185,17 +195,18 @@ def egf_coeffs(n_max: int, r: int, x) -> list[Fraction]:
     """Exact Taylor coefficients of e^{x(e^z - 1) + r z} up to order n_max.
 
     Contract: n! * coeff_n = B_{n,r}(x).
+
+    With f = x(e^z - 1) + r z, the coefficients g_n of g = e^f follow from
+    g' = f' g: n g_n = sum_{k=1..n} k f_k g_{n-k}, g_0 = 1, where
+    k f_k = x/(k-1)! plus r at k = 1.
     """
     _check_natural(n_max=n_max, r=r)
     xq = Fraction(x)
-    coeffs = [Fraction(0)] * (n_max + 1)
-    fact = 1
-    for k in range(1, n_max + 1):
-        fact *= k
-        coeffs[k] = xq / fact
-    if n_max >= 1:
-        coeffs[1] += r
-    return list(series_exp(RationalSeries(n_max, tuple(coeffs))).coeffs)
+    kf = [Fraction(0), xq + r] + [xq / math.factorial(k - 1) for k in range(2, n_max + 1)]
+    g = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        g.append(Fraction(sum(kf[k] * g[n - k] for k in range(1, n + 1)), n))
+    return g
 
 
 def ogf_coefficient_pair(m: int, r: int, z) -> tuple[Fraction, Fraction]:
@@ -236,6 +247,11 @@ def hypergeom_1f1(a, b, x, tol: float) -> ApproxReal:
     Summation stops once the term ratio is provably <= 1/2 for every later
     index and twice the next term has magnitude below tol/2; err is that
     geometric tail bound plus the exact representation error.
+
+    As in dobinski_series_sum, the partial sum is one integer numerator over
+    a running common denominator, which each step multiplies by
+    (pb + k qb) qa qx (k+1) for a = pa/qa, b = pb/qb, x = px/qx; the stopping
+    test compares cross-multiplied integers.
     """
     tol_f = _check_tol(tol)
     aq, bq, xq = Fraction(a), Fraction(b), Fraction(x)
@@ -244,18 +260,26 @@ def hypergeom_1f1(a, b, x, tol: float) -> ApproxReal:
 
     # For k >= k_min: |a+k|/|b+k| <= 2 and |x|/(k+1) <= 1/4, so ratio <= 1/2.
     k_min = max(math.ceil(abs(aq - bq) - bq), math.ceil(4 * abs(xq)), 1)
-    total = Fraction(0)
-    term = Fraction(1)
+    pa, qa = aq.numerator, aq.denominator
+    pb, qb = bq.numerator, bq.denominator
+    px, qx = xq.numerator, xq.denominator
+    tol_num, tol_den = tol_f.numerator, tol_f.denominator
+    num, term, den = 1, 1, 1  # partial sum num / den and term t_k = term / den
     k = 0
     while True:
-        total += term
-        term_next = term * (aq + k) * xq / ((bq + k) * (k + 1))
-        if k + 1 >= k_min and 4 * abs(term_next) <= tol_f:
+        # t_{k+1} = t_k (a+k) x / ((b+k)(k+1)), over the denominator den * step
+        step = (pb + k * qb) * qa * qx * (k + 1)
+        den *= step
+        num *= step
+        term *= (pa + k * qa) * px * qb
+        # 4 |t_{k+1}| <= tol, both sides times |den| * tol_den
+        if k + 1 >= k_min and 4 * abs(term) * tol_den <= tol_num * abs(den):
             break
-        term = term_next
+        num += term
         k += 1
 
-    return _to_float(total, 2 * abs(term_next), f"1F1({aq}; {bq}; {xq})")
+    what = f"1F1({aq}; {bq}; {xq})"
+    return _to_float(Fraction(num, den), Fraction(2 * abs(term), abs(den)), what)
 
 
 def kummer_residual(a, b, x, tol: float) -> ApproxReal:
@@ -322,6 +346,24 @@ def _simpson(f, n_intervals: int) -> float:
     return total * h / 3.0
 
 
+def _simpson_refinements(f, scale: float, label: str):
+    """Composite Simpson estimates of scale * int_0^pi f on 16, 32, 64, ...
+    intervals.  Each estimate after the first is yielded as
+    (estimate, |estimate - previous|, intervals), and the caller stops on its
+    own rule; past the interval cap ConvergenceError names label."""
+    previous = None
+    intervals = _BASE_INTERVALS
+    while intervals <= _MAX_INTERVALS:
+        estimate = _simpson(f, intervals) * scale
+        if previous is not None:
+            yield estimate, abs(estimate - previous), intervals
+        previous = estimate
+        intervals *= 2
+    raise ConvergenceError(
+        f"Simpson refinement hit the {_MAX_INTERVALS}-interval cap for {label}"
+    )
+
+
 def cesaro_integral(n: int, r: int, tol: float) -> QuadratureResult:
     """B_{n,r} via the integral representation
 
@@ -351,20 +393,10 @@ def cesaro_integral(n: int, r: int, tol: float) -> QuadratureResult:
         return complex_form
 
     scale = 2.0 * math.factorial(n) / (math.pi * math.e)
-    previous = None
-    intervals = _BASE_INTERVALS
-    while intervals <= _MAX_INTERVALS:
-        estimate = _simpson(integrand, intervals) * scale
-        if previous is not None:
-            diff = abs(estimate - previous)
-            if diff <= 0.5 * tol * max(1.0, abs(estimate)):
-                err = diff + 1e-13 * max(1.0, abs(estimate))
-                return QuadratureResult(ApproxReal(estimate, err), intervals)
-        previous = estimate
-        intervals *= 2
-    raise ConvergenceError(
-        f"Simpson refinement hit the {_MAX_INTERVALS}-interval cap for (n={n}, r={r})"
-    )
+    for estimate, diff, intervals in _simpson_refinements(integrand, scale, f"(n={n}, r={r})"):
+        if diff <= 0.5 * tol * max(1.0, abs(estimate)):
+            err = diff + 1e-13 * max(1.0, abs(estimate))
+            return QuadratureResult(ApproxReal(estimate, err), intervals)
 
 
 def sin_moment(j: int, n: int, tol: float) -> ApproxReal:
@@ -385,19 +417,10 @@ def sin_moment(j: int, n: int, tol: float) -> ApproxReal:
             * math.sin(n * theta)
         )
 
-    previous = None
-    intervals = _BASE_INTERVALS
-    while intervals <= _MAX_INTERVALS:
-        estimate = _simpson(integrand, intervals)
-        if previous is not None:
-            diff = abs(estimate - previous)
-            if diff <= 0.5 * tol:
-                return ApproxReal(estimate, diff + 1e-13 * max(1.0, abs(estimate)))
-        previous = estimate
-        intervals *= 2
-    raise ConvergenceError(
-        f"Simpson refinement hit the {_MAX_INTERVALS}-interval cap for (j={j}, n={n})"
-    )
+    # scale 1.0 multiplies every estimate exactly
+    for estimate, diff, _ in _simpson_refinements(integrand, 1.0, f"(j={j}, n={n})"):
+        if diff <= 0.5 * tol:
+            return ApproxReal(estimate, diff + 1e-13 * max(1.0, abs(estimate)))
 
 
 # ---------------------------------------------------------------------------

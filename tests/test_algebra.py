@@ -9,12 +9,10 @@ import pytest
 from rbell.algebra import (
     ApproxReal,
     IntPolynomial,
-    RationalSeries,
     falling_factorial_poly,
     fraction_free_det,
     leading_principal_minors,
     pochhammer,
-    series_exp,
     squarefree_part,
     sturm_root_count,
 )
@@ -102,52 +100,6 @@ def test_polynomial_random_ring_axioms():
         assert (p - q) + q == p
         if p and q:
             assert (p * q).degree == p.degree + q.degree
-
-
-def test_series_build_and_validation():
-    s = RationalSeries.build([1, 2], order=3)
-    assert s.coeffs == (Fraction(1), Fraction(2), Fraction(0), Fraction(0))
-    with pytest.raises(DomainError):
-        RationalSeries(2, (Fraction(1),))
-    with pytest.raises(DomainError):
-        RationalSeries(-1, ())
-    with pytest.raises(DomainError):
-        RationalSeries.build([], order=None)
-
-
-def test_series_arithmetic_truncates():
-    a = RationalSeries.build([1, 1, 1, 1])
-    b = RationalSeries.build([1, -1], order=1)
-    assert (a + b).order == 1
-    assert (a + b).coeffs == (Fraction(2), Fraction(0))
-    assert (a * b).coeffs == (Fraction(1), Fraction(0))
-    c = RationalSeries.build([0, 1, 0, 0])
-    assert (a * c).coeffs == (Fraction(0), Fraction(1), Fraction(1), Fraction(1))
-    assert (a - a).coeffs == (Fraction(0),) * 4
-
-
-def test_series_exp_of_z():
-    f = RationalSeries.build([0, 1], order=3)
-    g = series_exp(f)
-    assert g.coeffs == (Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 6))
-
-
-def test_series_exp_requires_zero_constant():
-    with pytest.raises(DomainError):
-        series_exp(RationalSeries.build([1, 1], order=2))
-
-
-def test_series_exp_multiplicativity():
-    rng = random.Random(7)
-    for _ in range(25):
-        order = rng.randrange(1, 11)
-        f = RationalSeries.build(
-            [0] + [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(order)]
-        )
-        g = RationalSeries.build(
-            [0] + [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(order)]
-        )
-        assert series_exp(f + g).coeffs == (series_exp(f) * series_exp(g)).coeffs
 
 
 def test_approx_real_contract():

@@ -1,6 +1,8 @@
 """Tests for the numeric-side routines: series, quadrature, roots, max index."""
 
+import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 
 from rbell import analytic
 from rbell.analytic import (
+    QuadratureResult,
     cesaro_integral,
     cesaro_integrand_forms,
     dobinski_eval,
@@ -21,7 +24,7 @@ from rbell.analytic import (
     sin_moment,
 )
 from rbell.bell import rbell_number, rbell_poly
-from rbell.errors import DomainError
+from rbell.errors import ConvergenceError, DomainError
 
 
 def test_dobinski_examples():
@@ -78,7 +81,8 @@ def test_dobinski_float_range():
 
 
 def test_dobinski_overflow_predicted_before_summing():
-    # every term x^k/k! fits, the sum e^710 does not; summing takes seconds
+    # every term x^k/k! fits, the sum e^710 does not; predicted before any
+    # summation (the exact sum would reach the conversion backstop in tens of ms)
     started = time.perf_counter()
     with pytest.raises(DomainError, match="float range: its terms near"):
         dobinski_series_sum(0, 0, 710, 1e-9)
@@ -118,6 +122,46 @@ def test_egf_matches_polynomials():
             cs = egf_coeffs(12, r, x)
             for n, c in enumerate(cs):
                 assert math.factorial(n) * c == rbell_poly(n, r).poly(x)
+
+
+def test_egf_coeffs_of_exp_z():
+    # x = 0, r = 1: the generating function is e^z
+    assert egf_coeffs(3, 1, 0) == [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 6)]
+
+
+def test_egf_coeffs_are_fractions():
+    # x = 0, r = 0 makes every sum of the recurrence zero; it stays a Fraction
+    for n_max, r, x in ((0, 0, 0), (6, 0, 0), (4, 2, 0), (6, 1, Fraction(-2, 3)), (3, 0, 2)):
+        cs = egf_coeffs(n_max, r, x)
+        assert len(cs) == n_max + 1
+        assert all(type(c) is Fraction for c in cs)
+
+
+def test_egf_matches_polynomials_at_negative_x():
+    for r in range(0, 7):
+        for x in (-1, Fraction(-1, 2), Fraction(-7, 3)):
+            for n, c in enumerate(egf_coeffs(12, r, x)):
+                assert math.factorial(n) * c == rbell_poly(n, r).poly(x)
+
+
+def test_egf_coeffs_multiplicative():
+    # e^{f+g} = e^f e^g: the truncated product of two coefficient lists is the
+    # list for the summed parameters
+    rng = random.Random(7)
+    for _ in range(25):
+        order = rng.randrange(0, 11)
+        x1, x2 = (Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2))
+        r1, r2 = rng.randrange(0, 4), rng.randrange(0, 4)
+        f, g = egf_coeffs(order, r1, x1), egf_coeffs(order, r2, x2)
+        product = [sum(f[i] * g[n - i] for i in range(n + 1)) for n in range(order + 1)]
+        assert product == egf_coeffs(order, r1 + r2, x1 + x2)
+
+
+def test_egf_validation():
+    with pytest.raises(DomainError):
+        egf_coeffs(-1, 0, 1)
+    with pytest.raises(DomainError):
+        egf_coeffs(3, -1, 1)
 
 
 def test_ogf_examples():
@@ -194,6 +238,54 @@ def test_hypergeom_past_float_range_is_a_domain_error():
         hypergeom_1f1(1, 1, 710, 1e-9)
 
 
+def _hyp1f1_terminating(a: int, b: Fraction, x: Fraction) -> Fraction:
+    # a a nonpositive integer: the series is a polynomial of degree -a in x
+    total, term = Fraction(0), Fraction(1)
+    for k in range(-a + 1):
+        total += term
+        term = term * (a + k) * x / ((b + k) * (k + 1))
+    return total
+
+
+def test_hypergeom_encloses_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    alphas = (-4, -1, 0, Fraction(-5, 2), Fraction(1, 3), 1, Fraction(7, 2))
+    betas = (Fraction(-7, 2), Fraction(-1, 3), Fraction(1, 2), 1, Fraction(5, 2), 4)
+    xs = (-200, -40, Fraction(-7, 2), -1, 0, Fraction(1, 3), 3, 40, 200)
+
+    def mp(q):
+        q = Fraction(q)
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    with mpmath.workdps(80):
+        for a, b, x in itertools.product(alphas, betas, xs):
+            if Fraction(a).denominator == 1 and a <= 0:
+                # mpmath's hyp1f1 cannot converge to an exact zero of the polynomial
+                exact = mp(_hyp1f1_terminating(a, Fraction(b), Fraction(x)))
+            else:
+                exact = mpmath.hyp1f1(mp(a), mp(b), mp(x))
+            for tol in (1e-6, 1e-12):
+                got = hypergeom_1f1(a, b, x, tol)
+                assert abs(mpmath.mpf(got.value) - exact) <= mpmath.mpf(got.err), (a, b, x, tol)
+
+
+def test_hypergeom_long_exact_sum_is_fast_and_encloses():
+    mpmath = pytest.importorskip("mpmath")
+    # 1F1(1; 1; 700) = e^700, summed over more than 2800 terms
+    started = time.perf_counter()
+    got = hypergeom_1f1(1, 1, 700, 1e-9)
+    assert time.perf_counter() - started < 0.5
+    with mpmath.workdps(60):
+        assert abs(mpmath.mpf(got.value) - mpmath.exp(700)) <= mpmath.mpf(got.err)
+
+
+def test_hypergeom_past_float_range_fails_fast():
+    started = time.perf_counter()
+    with pytest.raises(DomainError, match="float range"):
+        hypergeom_1f1(1, 1, 710, 1e-9)
+    assert time.perf_counter() - started < 0.5
+
+
 def test_kummer_residual():
     z = kummer_residual(1, 2, 0, 1e-10)
     assert z.value == 0.0
@@ -240,6 +332,72 @@ def test_sin_moment():
             assert abs(got.value - expected) <= 1e-8
     with pytest.raises(DomainError):
         sin_moment(2, 0, 1e-9)
+
+
+def _plain_simpson(f, scale, stop, label):
+    """Composite Simpson on [0, pi] with 16, 32, ... intervals, written out flat:
+    the arithmetic that cesaro_integral and sin_moment must reproduce bit for
+    bit.  scale None leaves the estimates unscaled."""
+    previous = None
+    intervals = 16
+    while intervals <= analytic._MAX_INTERVALS:
+        h = math.pi / intervals
+        total = f(0.0) + f(math.pi)
+        for i in range(1, intervals):
+            total += f(i * h) * (4.0 if i % 2 else 2.0)
+        estimate = total * h / 3.0
+        if scale is not None:
+            estimate = estimate * scale
+        if previous is not None:
+            diff = abs(estimate - previous)
+            if stop(estimate, diff):
+                return estimate, diff + 1e-13 * max(1.0, abs(estimate)), intervals
+        previous = estimate
+        intervals *= 2
+    return f"Simpson refinement hit the {analytic._MAX_INTERVALS}-interval cap for {label}"
+
+
+def _quadrature_outcome(fn, *args):
+    try:
+        got = fn(*args)
+    except ConvergenceError as exc:
+        return str(exc)
+    if isinstance(got, QuadratureResult):
+        return got.value.value.hex(), got.value.err.hex(), got.nodes_used
+    return got.value.hex(), got.err.hex(), None
+
+
+def _pin_simpson(tols):
+    for n, r, tol in itertools.product(range(1, 25), range(0, 9), tols):
+        expected = _plain_simpson(
+            lambda t: cesaro_integrand_forms(t, n, r)[0],
+            2.0 * math.factorial(n) / (math.pi * math.e),
+            lambda est, diff: diff <= 0.5 * tol * max(1.0, abs(est)),
+            f"(n={n}, r={r})",
+        )
+        if not isinstance(expected, str):
+            expected = (expected[0].hex(), expected[1].hex(), expected[2])
+        assert _quadrature_outcome(cesaro_integral, n, r, tol) == expected, (n, r, tol)
+    for j, n, tol in itertools.product(range(0, 8), range(1, 12), tols):
+        expected = _plain_simpson(
+            lambda t: math.exp(j * math.cos(t)) * math.sin(j * math.sin(t)) * math.sin(n * t),
+            None,
+            lambda est, diff: diff <= 0.5 * tol,
+            f"(j={j}, n={n})",
+        )
+        if not isinstance(expected, str):
+            expected = (expected[0].hex(), expected[1].hex(), None)
+        assert _quadrature_outcome(sin_moment, j, n, tol) == expected, (j, n, tol)
+
+
+def test_simpson_arithmetic_is_pinned():
+    _pin_simpson((1e-6, 1e-9))
+
+
+def test_simpson_cap_message_is_pinned(monkeypatch):
+    # a tolerance no refinement meets runs every grid point into a small cap
+    monkeypatch.setattr(analytic, "_MAX_INTERVALS", 1 << 7)
+    _pin_simpson((1e-300,))
 
 
 def test_rootedness_examples():
