@@ -9,7 +9,7 @@ import pytest
 
 from rbell.bell import rbell_table
 from rbell.cli import main
-from rbell.stirling import stirling2r_explicit
+from rbell.stirling import stirling2r, stirling2r_explicit
 from rbell.verify import SUITES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "table_6_6.json"
@@ -167,6 +167,16 @@ def test_oracle_record(capsys):
         "total": "10",
         "by_blocks": {"2": "4", "3": "5", "4": "1"},
     }
+
+
+def test_oracle_guard_admits_its_limit(capsys):
+    # n + r = 13 is the largest enumeration the guard allows
+    code, out, err = run(capsys, "oracle", "-n", "13", "-r", "0")
+    assert code == 0
+    assert err == ""
+    value = json.loads(out)["value"]
+    assert value["total"] == "27644437"
+    assert value["by_blocks"] == {str(k): str(stirling2r(13, k, 0)) for k in range(1, 14)}
 
 
 def test_json_key_order(capsys):

@@ -65,6 +65,19 @@ def test_oracle_guard():
         enumerate_restricted_partitions(2, -1)
 
 
+def test_oracle_matches_explicit_blocks():
+    # natural placement order, so the explicit-blocks enumerator and the walk
+    # place the same element last; n <= 2 is where the bulk-counted last
+    # element and the deepest prefix level meet the base cases, r = 0 included;
+    # (2, 12) is past the n + r <= 13 guard
+    points = {(n, r) for r in range(0, 10) for n in range(0, 10 - r)}
+    points |= {(n, r) for r in range(0, 13) for n in range(0, min(3, 14 - r))}
+    for n, r in sorted(points):
+        got = enumerate_restricted_partitions(n, r).by_blocks
+        nonzero = {k: v for k, v in got.items() if v}
+        assert nonzero == brute_force_counts(n, r, list(range(1, n + 1))), (n, r)
+
+
 def test_oracle_matches_recurrence():
     for r in range(0, 7):
         for n in range(0, 10 - r):
