@@ -33,58 +33,88 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-# Whole rows kept for reuse, least recently used evicted first.  Sixty-four
-# rows cover every row the verify suites revisit (carlitz walks about thirty
-# r values at once) while capping what a long-lived process holds.
+# Rows kept for reuse, least recently used evicted first: one entry per
+# (kind, n, r), holding the widest prefix of that row built so far.
+# Sixty-four rows cover every row the verify suites revisit (carlitz walks
+# about thirty r values at once) while capping what a long-lived process holds.
 _ROW_CACHE_SIZE = 64
 _rows: OrderedDict[tuple[int, int, int], tuple[int, ...]] = OrderedDict()
 
 
-def stirling_row(kind: int, n: int, r: int) -> tuple[int, ...]:
+def stirling_row(kind: int, n: int, r: int, width: int | None = None) -> tuple[int, ...]:
     """Row n of Broder's r-Stirling triangle of the first (kind = 1) or second
     (kind = 2) kind: entry j is [n, r+j]_r or {n, r+j}_r for j = 0..n-r, and
-    the row is empty when n < r.
+    the row is empty when n < r.  With a width, only the first width entries
+    (columns r..r+width-1) are built and returned.
 
     Rows are built iteratively from the nearest cached row of the same kind
-    and r below n (or from row r = (1,)), by
+    and r below n that is wide enough (or from row r = (1,)), by
 
         {m+1, r+j}_r = (r+j) {m, r+j}_r + {m, r+j-1}_r
-        [m+1, r+j]_r =   m   [m, r+j]_r + [m, r+j-1]_r,
+        [m+1, r+j]_r =   m   [m, r+j]_r + [m, r+j-1]_r.
 
-    and only the requested row is cached.
+    Both are lower-triangular in j, so each step is truncated to the width.
+    Only the requested row is cached, one entry per (kind, n, r) holding the
+    widest prefix built so far; it serves every request no wider.  A request
+    wider than the cached prefix builds the full row, so a row is built at
+    most twice: once narrow, once full.
     """
     key = (kind, n, r)
     row = _rows.get(key)
-    if row is not None:
+    if row is None:
+        if kind not in (1, 2):
+            raise DomainError(f"kind must be 1 or 2, got {kind!r}")
+        _check_natural(n=n, r=r)
+        row = ()
+    full = max(n - r + 1, 0)
+    if width is None:
+        want = full
+    else:
+        _check_natural(width=width)
+        want = min(width, full)
+    if len(row) < want:
+        row = _build_row(kind, n, r, full if row else want)
+    elif row:
         _rows.move_to_end(key)
-        return row
-    if kind not in (1, 2):
-        raise DomainError(f"kind must be 1 or 2, got {kind!r}")
-    _check_natural(n=n, r=r)
-    if n < r:
-        return ()
-    m = max((km for kk, km, kr in _rows if kk == kind and kr == r and km < n), default=r)
-    row = _rows.get((kind, m, r), (1,))
+    return row if len(row) == want else row[:want]
+
+
+def _build_row(kind: int, n: int, r: int, width: int) -> tuple[int, ...]:
+    """The first width entries of row n >= r, built and cached."""
+    # probing down from n - 1 costs at most one lookup per step it saves
+    m, row = r, (1,)
+    for below in range(n - 1, r, -1):
+        kept = _rows.get((kind, below, r))
+        if kept is not None and len(kept) >= min(width, below - r + 1):
+            m, row = below, kept
+            break
+    if len(row) > width:
+        row = row[:width]
     while m < n:
         weights = range(r, m + 2) if kind == 2 else repeat(m)
-        row = (*map(add, map(mul, weights, row + (0,)), (0,) + row),)
+        padded = row + (0,) if len(row) < width else row
+        row = (*map(add, map(mul, weights, padded), (0,) + row),)
         m += 1
+    key = (kind, n, r)
     _rows[key] = row
+    _rows.move_to_end(key)
     if len(_rows) > _ROW_CACHE_SIZE:
         _rows.popitem(last=False)
     return row
 
 
 def stirling2r(n: int, k: int, r: int) -> int:
-    """r-Stirling number of the second kind {n, k}_r (unshifted indices)."""
+    """r-Stirling number of the second kind {n, k}_r (unshifted indices).
+    Builds only columns r..k of row n."""
     _check_natural(n=n, k=k, r=r)
-    return stirling_row(2, n, r)[k - r] if r <= k <= n else 0
+    return stirling_row(2, n, r, k - r + 1)[k - r] if r <= k <= n else 0
 
 
 def stirling1r(n: int, k: int, r: int) -> int:
-    """Unsigned r-Stirling number of the first kind [n, k]_r (unshifted)."""
+    """Unsigned r-Stirling number of the first kind [n, k]_r (unshifted).
+    Builds only columns r..k of row n."""
     _check_natural(n=n, k=k, r=r)
-    return stirling_row(1, n, r)[k - r] if r <= k <= n else 0
+    return stirling_row(1, n, r, k - r + 1)[k - r] if r <= k <= n else 0
 
 
 def stirling2r_explicit(n: int, k: int, r: int) -> int:

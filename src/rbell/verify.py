@@ -47,7 +47,7 @@ from .bell import (
 )
 from .errors import ConvergenceError, DomainError, InconsistencyError
 from .oracle import enumerate_restricted_partitions
-from .stirling import binomial, horizontal_check, stirling2r, stirling2r_explicit
+from .stirling import binomial, horizontal_check, stirling2r_explicit, stirling_row
 from .transforms import (
     binomial_transform,
     cigler_d,
@@ -101,8 +101,9 @@ def _points(nmax: int, rmax: int, n_from: int = 0, r_from: int = 0):
 
 def _explicit_formula(nmax: int, rmax: int) -> str | None:
     for n, r in _points(nmax, rmax):
+        row = stirling_row(2, n + r, r)
         for k in range(n + 1):
-            a = stirling2r(n + r, k + r, r)
+            a = row[k]
             b = stirling2r_explicit(n, k, r)
             if a != b:
                 return f"(n={n}, k={k}, r={r}): recurrence {a} vs alternating sum {b}"
@@ -110,9 +111,13 @@ def _explicit_formula(nmax: int, rmax: int) -> str | None:
 
 
 def _row_sums(nmax: int, rmax: int) -> str | None:
+    # rbell_number sums this very row; the table takes the Bell-triangle route
+    table = rbell_table(nmax, rmax)
     for n, r in _points(nmax, rmax):
-        total = sum(stirling2r(n + r, k + r, r) for k in range(n + 1))
-        expected = rbell_number(n, r)
+        if r >= len(table) or n >= len(table[r]):
+            return f"(n={n}, r={r}): rbell_table has no entry B_{{n,r}}"
+        total = sum(stirling_row(2, n + r, r))
+        expected = table[r][n]
         if total != expected:
             return f"(n={n}, r={r}): row sum {total} vs B = {expected}"
     return None
@@ -120,9 +125,13 @@ def _row_sums(nmax: int, rmax: int) -> str | None:
 
 def _cross_r_stirling(nmax: int, rmax: int) -> str | None:
     for n, r in _points(nmax, rmax, r_from=1):
+        # {n+r, k+r}_r at index k; {n+r, k+r}_{r-1} and {n-1+r, k+r}_{r-1} at index k+1
+        row = stirling_row(2, n + r, r)
+        wider = stirling_row(2, n + r, r - 1)
+        below = stirling_row(2, n - 1 + r, r - 1) + (0,)
         for k in range(n + 1):
-            lhs = stirling2r(n + r, k + r, r)
-            rhs = stirling2r(n + r, k + r, r - 1) - (r - 1) * stirling2r(n - 1 + r, k + r, r - 1)
+            lhs = row[k]
+            rhs = wider[k + 1] - (r - 1) * below[k + 1]
             if lhs != rhs:
                 return f"(n={n}, k={k}, r={r}): {lhs} vs {rhs}"
     return None
@@ -130,9 +139,11 @@ def _cross_r_stirling(nmax: int, rmax: int) -> str | None:
 
 def _log_concavity(nmax: int, rmax: int) -> str | None:
     for n, r in _points(nmax, rmax):
+        row = (0, *stirling_row(2, n + r, r), 0)  # {n+r, k}_r at index k - r + 1
         for k in range(max(r, 1), n + r + 1):
-            middle = stirling2r(n + r, k, r) ** 2
-            sides = stirling2r(n + r, k + 1, r) * stirling2r(n + r, k - 1, r)
+            j = k - r + 1
+            middle = row[j] ** 2
+            sides = row[j + 1] * row[j - 1]
             if middle < sides:
                 return f"(n={n}, k={k}, r={r}): {middle} < {sides}"
     return None
@@ -293,12 +304,10 @@ def _carlitz_inverse(total: int, rmax: int) -> str | None:
 def _carlitz_roundtrip(total: int, rmax: int) -> str | None:
     # compose fed with inverse-produced values must reproduce B_{n+m,r}
     for r in range(rmax + 1):
+        rows = [stirling_row(2, m + r, r) for m in range(total + 1)]
         for n in range(total + 1):
             for m in range(total + 1 - n):
-                recomposed = sum(
-                    stirling2r(m + r, j + r, r) * carlitz_inverse(n, j, r)
-                    for j in range(m + 1)
-                )
+                recomposed = sum(s * carlitz_inverse(n, j, r) for j, s in enumerate(rows[m]))
                 want = rbell_number(n + m, r)
                 if recomposed != want:
                     return f"(n={n}, m={m}, r={r}): {recomposed} vs {want}"
@@ -494,10 +503,10 @@ def _oracle(nmax: int, rmax: int) -> list[CheckResult]:
         if counts.total != rbell_number(n, r):
             mismatch = f"(n={n}, r={r}): enumerated {counts.total} vs {rbell_number(n, r)}"
             continue
+        row = stirling_row(2, n + r, r)
         for k, count in counts.by_blocks.items():
-            if count != stirling2r(n + r, k, r):
-                want = stirling2r(n + r, k, r)
-                mismatch = f"(n={n}, r={r}, k={k}): enumerated {count} vs {want}"
+            if count != row[k - r]:
+                mismatch = f"(n={n}, r={r}, k={k}): enumerated {count} vs {row[k - r]}"
                 break
 
     violation = None

@@ -3,12 +3,16 @@
 import math
 import pathlib
 import random
+from collections import OrderedDict
+from fractions import Fraction
 
 import pytest
 
 import rbell.stirling
 
 from rbell.algebra import IntPolynomial, pochhammer
+from rbell.analytic import max_index
+from rbell.bell import rbell_number, rbell_poly, rbell_table
 from rbell.errors import DomainError
 from rbell.stirling import (
     binomial,
@@ -171,3 +175,125 @@ def test_no_unbounded_caches():
     for path in src.glob("*.py"):
         text = path.read_text()
         assert "maxsize=None" not in text and "@cache" not in text, path.name
+
+
+# ---------------------------------------------------------------------------
+# width-bounded rows and the one-entry-per-row cache
+
+
+@pytest.fixture
+def fresh_rows(monkeypatch):
+    monkeypatch.setattr(rbell.stirling, "_rows", OrderedDict())
+    return rbell.stirling
+
+
+def _full_row(kind, n, r):
+    """Row n of the r-Stirling triangle by a route that builds no row: the
+    alternating sum (second kind) or the rising factorial (first kind)."""
+    if kind == 2:
+        return tuple(stirling2r_explicit(n - r, j, r) for j in range(n - r + 1))
+    rising = IntPolynomial([1])
+    for i in range(r, n):
+        rising = rising * IntPolynomial([i, 1])
+    return rising.coeffs
+
+
+def test_narrow_query_leaves_full_rows_intact(fresh_rows):
+    n, r = 40, 2
+    assert stirling2r(n, r + 3, r) == _full_row(2, n, r)[3]
+    assert stirling1r(n, r + 2, r) == _full_row(1, n, r)[2]
+    assert len(fresh_rows._rows[2, n, r]) < n - r + 1
+    assert stirling_row(2, n, r) == _full_row(2, n, r)
+    assert stirling_row(1, n, r) == _full_row(1, n, r)
+
+    # the r-Bell layers read row m + r in full after a narrow query of it
+    def narrow(m):
+        stirling2r(m + r, r + 1, r)
+        assert len(fresh_rows._rows[2, m + r, r]) < m + 1
+        return _full_row(2, m + r, r)
+
+    narrow(43)
+    assert rbell_number(43, r) == rbell_table(43, r)[r][43]
+    row = narrow(30)
+    assert rbell_poly(30, r).poly.coeffs == row
+    row = narrow(25)
+    best = max(row)
+    assert max_index(25, r).maximizers == tuple(r + j for j, v in enumerate(row) if v == best)
+
+
+@pytest.mark.parametrize("kind", (1, 2))
+@pytest.mark.parametrize("r", (0, 1, 5))
+def test_sweeps_of_one_row_match_the_full_row(fresh_rows, kind, r):
+    point = stirling2r if kind == 2 else stirling1r
+    n = r + 30
+    full = _full_row(kind, n, r)
+    ascending = [point(n, k, r) for k in range(r, n + 1)]
+    fresh_rows._rows.clear()
+    descending = [point(n, k, r) for k in range(n, r - 1, -1)][::-1]
+    assert ascending == descending == list(full)
+    assert stirling_row(kind, n, r) == full
+
+
+def test_ascending_sweep_costs_a_few_full_builds(fresh_rows, monkeypatch):
+    # Count the entries each build computes: from row r, every step m -> m+1
+    # fills min(m - r + 2, width) columns.  A request wider than the cached
+    # prefix builds the full row, so an ascending sweep builds narrow once.
+    n, r = 400, 0
+    widths = []
+    build = fresh_rows._build_row
+
+    def counted_build(kind, n, r, width):
+        widths.append(width)
+        return build(kind, n, r, width)
+
+    def cost(width):
+        return sum(min(m - r + 2, width) for m in range(r, n))
+
+    monkeypatch.setattr(fresh_rows, "_build_row", counted_build)
+    for k in range(n + 1):
+        stirling2r(n, k, r)
+    assert widths == [1, n - r + 1]
+    assert sum(map(cost, widths)) <= 4 * cost(n - r + 1)
+
+    widths.clear()
+    fresh_rows._rows.clear()
+    for k in range(n, r - 1, -1):
+        stirling2r(n, k, r)
+    assert widths == [n - r + 1]
+
+
+def test_mixed_widths_keep_one_entry_per_row(fresh_rows):
+    queried = set()
+    rng = random.Random(2718)
+    for _ in range(200):
+        kind, r = rng.choice((1, 2)), rng.randrange(0, 4)
+        n = rng.randrange(r, r + 20)
+        k = rng.randrange(r, n + 1)
+        (stirling2r if kind == 2 else stirling1r)(n, k, r)
+        queried.add((kind, n, r))
+        assert len(fresh_rows._rows) <= fresh_rows._ROW_CACHE_SIZE
+        assert set(fresh_rows._rows) <= queried
+    fresh_rows._rows.clear()
+    for width in (3, 1, 7, 2, 30, 5):
+        stirling_row(2, 25, 1, width)
+    assert list(fresh_rows._rows) == [(2, 25, 1)]
+    assert stirling_row(2, 25, 1, 4) == _full_row(2, 25, 1)[:4]
+    with pytest.raises(DomainError):
+        stirling_row(2, 25, 1, -1)
+
+
+def test_row_1200_point_queries_match_closed_forms(fresh_rows):
+    # {n, k}_1 = {n-1, k-1}, the alternating sum; [n, k]_1 = [n, k] =
+    # (n-1)! e_{k-1}(1, 1/2, ..., 1/(n-1)), the elementary symmetric functions
+    # of the reciprocals from their power sums by Newton's identities
+    n = 1200
+    power = [None] + [sum(Fraction(1, i**j) for i in range(1, n)) for j in range(1, 5)]
+    e = [Fraction(1)]
+    for m in range(1, 5):
+        e.append(sum((-1) ** (i - 1) * e[m - i] * power[i] for i in range(1, m + 1)) / m)
+    assert stirling2r(n, 0, 1) == stirling1r(n, 0, 1) == 0
+    for k in range(1, 6):
+        assert stirling2r(n, k, 1) == stirling2r_explicit(n - 1, k - 1, 1)
+        first = math.factorial(n - 1) * e[k - 1]
+        assert first.denominator == 1
+        assert stirling1r(n, k, 1) == first.numerator

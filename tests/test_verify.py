@@ -125,6 +125,11 @@ def _bump_last(values):
     return values[:-1] + [values[-1] + 1]
 
 
+def _entry(index, change):
+    """Pass entry index of a row tuple through change."""
+    return lambda row: (*row[:index], change(row[index]), *row[index + 1:])
+
+
 def _fail(name, detail):
     return CheckResult(name, "FAIL", detail)
 
@@ -155,17 +160,21 @@ FAIL_CASES = [
         id="explicit-formula",
     ),
     pytest.param(
-        "definitions", G, {"rbell_number": _at((3, 1), _plus(1))},
+        "definitions", G,
+        {"rbell_table": lambda f: lambda n, r: [
+            [b + (1 if (i, j) == (1, 3) else 0) for j, b in enumerate(row)]
+            for i, row in enumerate(f(n, r))
+        ]},
         _fail("stirling-row-sums", "(n=3, r=1): row sum 15 vs B = 16"),
         id="stirling-row-sums",
     ),
     pytest.param(
-        "definitions", G, {"stirling2r": _at((4, 3, 2), _plus(1))},
+        "definitions", G, {"stirling_row": _at((2, 4, 2), _entry(1, _plus(1)))},
         _fail("cross-r-stirling", "(n=2, k=1, r=2): 6 vs 5"),
         id="cross-r-stirling",
     ),
     pytest.param(
-        "definitions", G, {"stirling2r": _at((3, 2, 0), _const(0))},
+        "definitions", G, {"stirling_row": _at((2, 3, 0), _entry(2, _const(0)))},
         _fail("stirling-log-concavity", "(n=3, k=2, r=0): 0 < 1"),
         id="stirling-log-concavity",
     ),
@@ -173,6 +182,11 @@ FAIL_CASES = [
         "definitions", G, {"rbell_table": lambda f: lambda n, r: f(n, r)[:-1]},
         _fail("number-table", "7x7 table differs from the reference values"),
         id="number-table",
+    ),
+    pytest.param(
+        "definitions", G, {"rbell_table": lambda f: lambda n, r: f(n, r)[:-1]},
+        _fail("stirling-row-sums", "(n=0, r=3): rbell_table has no entry B_{n,r}"),
+        id="stirling-row-sums-short-table",
     ),
     pytest.param(
         "definitions", G, {"rbell_poly": _at((3, 1), _poly_plus(1))},
@@ -256,7 +270,7 @@ FAIL_CASES = [
         id="carlitz-inverse",
     ),
     pytest.param(
-        "carlitz", G, {"stirling2r": _at((3, 3, 1), _plus(1))},
+        "carlitz", G, {"stirling_row": _at((2, 3, 1), _entry(2, _plus(1)))},
         _fail("carlitz-roundtrip", "(n=0, m=2, r=1): 6 vs 5"),
         id="carlitz-roundtrip",
     ),
@@ -405,7 +419,7 @@ FAIL_CASES = [
         id="oracle-totals",
     ),
     pytest.param(
-        "oracle", G, {"stirling2r": _at((4, 2, 1), _plus(1))},
+        "oracle", G, {"stirling_row": _at((2, 4, 1), _entry(1, _plus(1)))},
         _fail("oracle-totals", "(n=3, r=1, k=2): enumerated 7 vs 8"),
         id="oracle-totals-blocks",
     ),
