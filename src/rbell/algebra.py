@@ -76,6 +76,9 @@ class IntPolynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals its int, so it hashes as that int
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(("IntPolynomial", self.coeffs))
 
     def __bool__(self) -> bool:

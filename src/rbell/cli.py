@@ -1,10 +1,22 @@
 """Command-line front end: compute values, print the number table, run
 verification suites, and report approximations with their error bounds.
 
-Scalar results are emitted as one-line JSON records with keys in the order
-op, params, value.  Exact integers are serialized as decimal strings and
-rationals as "p/q" so that big values never pass through floats; the only
-floats printed are approximation values paired with their error bounds.
+One table, COMMANDS, declares every subcommand once: its name, its help, its
+arguments and the function that computes its value.  A record command prints
+one JSON line with keys in the order op, params, value, where params are the
+command's numeric arguments that are set.  Exact integers are serialized as
+decimal strings and rationals as "p/q" so that big values never pass through
+floats; the only floats printed are tolerances and approximation values
+paired with their error bounds.  ``table`` and ``verify`` print their own
+text, and ``table --format json`` writes a record through the same path.
+
+``main`` builds the parser of the command that argv[0] names and no other;
+any other argv (help, none, an unknown command, a leading option) gets the
+parser of every command.  No parser is cached across calls: a cache would
+move the cost out of a call that is timed after a first parse rather than
+remove it.  Value functions read library functions from this module's
+globals when they run, so a wrapper installed there sees every call.
+
 Exit codes: 0 success, 1 verification or consistency failure, 2 usage or
 domain error.
 """
@@ -17,6 +29,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .analytic import cesaro_integral, dobinski_eval, max_index, real_rootedness_report
 from .bell import rbell_number, rbell_poly, rbell_table
@@ -50,230 +63,176 @@ def _natural(text: str) -> int:
     return value
 
 
-def _emit(op: str, params: dict, value) -> None:
-    print(json.dumps({"op": op, "params": params, "value": value}, separators=(",", ":")))
+# a record's params: the arguments of these names that are set, in this order
+_PARAMS = ("n", "k", "r", "x", "tol", "nmax", "rmax")
+
+
+def _emit(args, value) -> int:
+    params = {}
+    for name in _PARAMS:
+        given = getattr(args, name, None)
+        if given is not None:
+            params[name] = str(given) if isinstance(given, Fraction) else given
+    record = {"op": args.command, "params": params, "value": value}
+    print(json.dumps(record, separators=(",", ":")))
+    return 0
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# commands
 
 
-def _cmd_table(args) -> int:
-    rows = rbell_table(args.nmax, args.rmax)
+def _table(args) -> int:
+    rows = [[str(v) for v in row] for row in rbell_table(args.nmax, args.rmax)]
     if args.format == "json":
-        _emit(
-            "table",
-            {"nmax": args.nmax, "rmax": args.rmax},
-            [[str(v) for v in row] for row in rows],
-        )
-        return 0
+        return _emit(args, rows)
+    header = [str(n) for n in range(args.nmax + 1)]
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["r/n"] + [str(n) for n in range(args.nmax + 1)])
-        for r, row in enumerate(rows):
-            writer.writerow([str(r)] + [str(v) for v in row])
+        writer.writerow(["r/n"] + header)
+        writer.writerows([str(r)] + row for r, row in enumerate(rows))
         return 0
-    cells = [["r\\n"] + [str(n) for n in range(args.nmax + 1)]]
-    for r, row in enumerate(rows):
-        cells.append([str(r)] + [str(v) for v in row])
-    widths = [max(len(line[i]) for line in cells) for i in range(len(cells[0]))]
+    cells = [["r\\n"] + header] + [[str(r)] + row for r, row in enumerate(rows)]
+    widths = [max(map(len, column)) for column in zip(*cells)]
     for line in cells:
         print("  ".join(cell.rjust(w) for cell, w in zip(line, widths)))
     return 0
 
 
-def _cmd_bell(args) -> int:
-    params = {"n": args.n, "r": args.r}
-    if args.poly:
-        value = list(rbell_poly(args.n, args.r).poly.coeffs)
-    elif args.x is not None:
-        params["x"] = str(args.x)
-        value = str(rbell_poly(args.n, args.r).poly(args.x))
-    else:
-        value = str(rbell_number(args.n, args.r))
-    _emit("bell", params, value)
-    return 0
-
-
-def _cmd_stirling(args) -> int:
-    # stirling1r or stirling2r, read from the module globals at call time
-    number = globals()[f"{args.command}r"](args.n, args.k, args.r)
-    _emit(args.command, {"n": args.n, "k": args.k, "r": args.r}, str(number))
-    return 0
-
-
-def _cmd_hankel(args) -> int:
-    values = hankel_transform_rbell(args.r, args.nmax)
-    _emit("hankel", {"r": args.r, "nmax": args.nmax}, [str(v) for v in values])
-    return 0
-
-
-def _cmd_dobinski(args) -> int:
-    approx = dobinski_eval(args.n, args.r, args.x, args.tol)
-    _emit(
-        "dobinski",
-        {"n": args.n, "r": args.r, "x": str(args.x), "tol": args.tol},
-        {"value": approx.value, "err": approx.err},
-    )
-    return 0
-
-
-def _cmd_integral(args) -> int:
-    quad = cesaro_integral(args.n, args.r, args.tol)
-    _emit(
-        "integral",
-        {"n": args.n, "r": args.r, "tol": args.tol},
-        {
-            "value": quad.value.value,
-            "err": quad.value.err,
-            "nodes_used": quad.nodes_used,
-        },
-    )
-    return 0
-
-
-def _cmd_roots(args) -> int:
-    report = real_rootedness_report(args.n, args.r)
-    _emit(
-        "roots",
-        {"n": args.n, "r": args.r},
-        {
-            "degree": report.degree,
-            "distinct_neg_roots": report.distinct_neg_roots,
-            "root_at_zero": report.root_at_zero,
-        },
-    )
-    return 0
-
-
-def _cmd_maxindex(args) -> int:
-    report = max_index(args.n, args.r)
-    _emit(
-        "maxindex",
-        {"n": args.n, "r": args.r},
-        {
-            "maximizers": list(report.maximizers),
-            "ratio_estimate": str(report.ratio_estimate),
-            "bound_holds": report.bound_holds,
-        },
-    )
-    return 0
-
-
-def _cmd_oracle(args) -> int:
-    counts = enumerate_restricted_partitions(args.n, args.r)
-    _emit(
-        "oracle",
-        {"n": args.n, "r": args.r},
-        {
-            "total": str(counts.total),
-            "by_blocks": {str(k): str(v) for k, v in sorted(counts.by_blocks.items())},
-        },
-    )
-    return 0
-
-
-def _cmd_verify(args) -> int:
+def _verify(args) -> int:
     results = run_suite(args.suite, args.nmax, args.rmax)
-    failed = 0
-    errata = 0
     for check in results:
-        line = f"{check.name}: {check.status}"
-        if check.detail:
-            line += f" ({check.detail})"
-        print(line)
-        if check.status == "FAIL":
-            failed += 1
-        elif check.status == "KNOWN-ERRATUM":
-            errata += 1
-    passed = len(results) - failed - errata
-    print(f"{passed} passed, {errata} known-errata, {failed} failed")
+        print(f"{check.name}: {check.status}" + (f" ({check.detail})" if check.detail else ""))
+    failed = sum(check.status == "FAIL" for check in results)
+    errata = sum(check.status == "KNOWN-ERRATUM" for check in results)
+    print(f"{len(results) - failed - errata} passed, {errata} known-errata, {failed} failed")
     return 1 if failed else 0
 
 
+def _bell(args):
+    if args.poly:
+        return list(rbell_poly(args.n, args.r).poly.coeffs)
+    if args.x is not None:
+        return str(rbell_poly(args.n, args.r).poly(args.x))
+    return str(rbell_number(args.n, args.r))
+
+
+def _dobinski(args) -> dict:
+    approx = dobinski_eval(args.n, args.r, args.x, args.tol)
+    return {"value": approx.value, "err": approx.err}
+
+
+def _integral(args) -> dict:
+    quad = cesaro_integral(args.n, args.r, args.tol)
+    return {"value": quad.value.value, "err": quad.value.err, "nodes_used": quad.nodes_used}
+
+
+def _maxindex(args) -> dict:
+    report = max_index(args.n, args.r)
+    return {
+        "maximizers": list(report.maximizers),
+        "ratio_estimate": str(report.ratio_estimate),
+        "bound_holds": report.bound_holds,
+    }
+
+
+def _oracle(args) -> dict:
+    counts = enumerate_restricted_partitions(args.n, args.r)
+    return {
+        "total": str(counts.total),
+        "by_blocks": {str(k): str(v) for k, v in sorted(counts.by_blocks.items())},
+    }
+
+
+class Command(NamedTuple):
+    """One subcommand.  Each argument is a (flag, add_argument options)
+    pair, or a list of them that form a mutually exclusive group."""
+
+    name: str
+    help: str
+    arguments: tuple
+    value: Callable | None = None  # args -> the value of the command's one record
+    run: Callable | None = None  # args -> exit code, for a command printing its own text
+
+
+_NATURAL = {"type": _natural, "required": True}
+_N, _K, _R = ("-n", _NATURAL), ("-k", _NATURAL), ("-r", _NATURAL)
+_TOL = ("--tol", {"type": float, "required": True})
+
+COMMANDS = (
+    Command("table", "print the r-Bell number table", (
+        ("--nmax", {"type": _natural, "default": 6}),
+        ("--rmax", {"type": _natural, "default": 6}),
+        ("--format", {"choices": ("plain", "csv", "json"), "default": "plain"}),
+    ), run=_table),
+    Command("bell", "r-Bell number, polynomial, or evaluation", (_N, _R, [
+        ("--x", {"type": _rational, "help": "evaluate the polynomial at P/Q"}),
+        ("--poly", {"action": "store_true", "help": "print coefficients low-to-high"}),
+    ]), _bell),
+    Command("stirling2", "r-Stirling number of the second kind", (_N, _K, _R),
+            lambda args: str(stirling2r(args.n, args.k, args.r))),
+    Command("stirling1", "r-Stirling number of the first kind", (_N, _K, _R),
+            lambda args: str(stirling1r(args.n, args.k, args.r))),
+    Command("hankel", "Hankel transform of the r-Bell sequence", (_R, ("--nmax", _NATURAL)),
+            lambda args: [str(v) for v in hankel_transform_rbell(args.r, args.nmax)]),
+    Command("dobinski", "Dobinski-series evaluation with error bound",
+            (_N, _R, ("--x", {"type": _rational, "default": Fraction(1)}), _TOL), _dobinski),
+    Command("integral", "integral representation of B_{n,r}", (_N, _R, _TOL), _integral),
+    Command("roots", "Sturm-certified root structure of B_{n,r}(x)", (_N, _R),
+            lambda args: real_rootedness_report(args.n, args.r)._asdict()),
+    Command("maxindex", "maximizing index of the r-Stirling row", (_N, _R), _maxindex),
+    Command("oracle", "brute-force partition enumeration", (_N, _R), _oracle),
+    Command("verify", "run a verification suite", (
+        ("--suite", {"choices": tuple(SUITES) + ("all",), "required": True}),
+        ("--nmax", {"type": _natural, "default": None}),
+        ("--rmax", {"type": _natural, "default": None}),
+    ), run=_verify),
+)
+
+
 # ---------------------------------------------------------------------------
-# parser
+# parser and entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_arguments(parser, arguments) -> None:
+    for argument in arguments:
+        if isinstance(argument, list):
+            _add_arguments(parser.add_mutually_exclusive_group(), argument)
+        else:
+            flag, options = argument
+            parser.add_argument(flag, **options)
+
+
+def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
+    """The parser of the given commands, by default all of them."""
     parser = argparse.ArgumentParser(
         prog="rbell",
         description="Exact r-Stirling and r-Bell computations with verification suites.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("table", help="print the r-Bell number table")
-    p.add_argument("--nmax", type=_natural, default=6)
-    p.add_argument("--rmax", type=_natural, default=6)
-    p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    p.set_defaults(handler=_cmd_table)
-
-    p = sub.add_parser("bell", help="r-Bell number, polynomial, or evaluation")
-    p.add_argument("-n", type=_natural, required=True)
-    p.add_argument("-r", type=_natural, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--x", type=_rational, help="evaluate the polynomial at P/Q")
-    group.add_argument("--poly", action="store_true", help="print coefficients low-to-high")
-    p.set_defaults(handler=_cmd_bell)
-
-    for command, kind in (("stirling2", "second"), ("stirling1", "first")):
-        p = sub.add_parser(command, help=f"r-Stirling number of the {kind} kind")
-        p.add_argument("-n", type=_natural, required=True)
-        p.add_argument("-k", type=_natural, required=True)
-        p.add_argument("-r", type=_natural, required=True)
-        p.set_defaults(handler=_cmd_stirling)
-
-    p = sub.add_parser("hankel", help="Hankel transform of the r-Bell sequence")
-    p.add_argument("-r", type=_natural, required=True)
-    p.add_argument("--nmax", type=_natural, required=True)
-    p.set_defaults(handler=_cmd_hankel)
-
-    p = sub.add_parser("dobinski", help="Dobinski-series evaluation with error bound")
-    p.add_argument("-n", type=_natural, required=True)
-    p.add_argument("-r", type=_natural, required=True)
-    p.add_argument("--x", type=_rational, default=Fraction(1))
-    p.add_argument("--tol", type=float, required=True)
-    p.set_defaults(handler=_cmd_dobinski)
-
-    p = sub.add_parser("integral", help="integral representation of B_{n,r}")
-    p.add_argument("-n", type=_natural, required=True)
-    p.add_argument("-r", type=_natural, required=True)
-    p.add_argument("--tol", type=float, required=True)
-    p.set_defaults(handler=_cmd_integral)
-
-    p = sub.add_parser("roots", help="Sturm-certified root structure of B_{n,r}(x)")
-    p.add_argument("-n", type=_natural, required=True)
-    p.add_argument("-r", type=_natural, required=True)
-    p.set_defaults(handler=_cmd_roots)
-
-    p = sub.add_parser("maxindex", help="maximizing index of the r-Stirling row")
-    p.add_argument("-n", type=_natural, required=True)
-    p.add_argument("-r", type=_natural, required=True)
-    p.set_defaults(handler=_cmd_maxindex)
-
-    p = sub.add_parser("oracle", help="brute-force partition enumeration")
-    p.add_argument("-n", type=_natural, required=True)
-    p.add_argument("-r", type=_natural, required=True)
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=tuple(SUITES) + ("all",), required=True)
-    p.add_argument("--nmax", type=_natural, default=None)
-    p.add_argument("--rmax", type=_natural, default=None)
-    p.set_defaults(handler=_cmd_verify)
-
+    # The usage line an error prints names every command, also when only some
+    # are built.  The full parser leaves the metavar unset, because an unknown
+    # command's error names the argument by its metavar when there is one.
+    every = "{" + ",".join(command.name for command in COMMANDS) + "}"
+    metavar = None if len(commands) == len(COMMANDS) else every
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for command in commands:
+        p = sub.add_parser(command.name, help=command.help)
+        _add_arguments(p, command.arguments)
+        p.set_defaults(spec=command)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    named = [command for command in COMMANDS if argv[:1] == [command.name]]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(named or COMMANDS).parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    command = args.spec
     try:
-        return args.handler(args)
+        return command.run(args) if command.run else _emit(args, command.value(args))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,6 +47,17 @@ def test_polynomial_is_immutable():
     assert hash(p) == hash(IntPolynomial([1, 2]))
 
 
+def test_constant_polynomial_hashes_as_its_int():
+    # equal objects must hash equally, and a constant equals its int
+    for c in (0, 5, -3, 2**70):
+        assert IntPolynomial((c,)) == c
+        assert hash(IntPolynomial((c,))) == hash(c)
+    assert hash(IntPolynomial()) == hash(0)
+    assert {IntPolynomial((5,)), 5} == {5}
+    assert len({IntPolynomial(), 0, IntPolynomial([0, 0])}) == 1
+    assert {IntPolynomial([5, 1]): "p"}.get(5) is None
+
+
 def test_polynomial_arithmetic_examples():
     p = IntPolynomial([1, 1])
     q = IntPolynomial([-1, 1])

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+import rbell.cli
+from rbell.analytic import RootednessReport
 from rbell.bell import rbell_table
-from rbell.cli import main
+from rbell.cli import COMMANDS, _natural, _rational, build_parser, main
 from rbell.stirling import stirling2r, stirling2r_explicit
 from rbell.verify import SUITES
 
@@ -263,3 +265,140 @@ def test_large_indices_need_no_recursion(capsys):
 
 def test_module_entry_point():
     import rbell.__main__  # noqa: F401  (import must not run main when not __main__)
+
+
+# Each argv ends in a help or usage exit.  main builds only the parser of the
+# command argv[0] names, so it must print what the full parser prints.
+PARSER_EXITS = [
+    [], ["-h"], ["--help"], ["wat"], ["-x", "bell"],
+    ["bell", "-n", "2", "-r", "2", "--poly", "--x", "1"],
+    ["table", "--nmax"], ["table", "--format", "xml"], ["table", "extra"],
+    ["bell", "-n", "2"], ["bell", "-n", "x", "-r", "1"],
+    ["bell", "-n", "2", "-r", "2", "--bogus"],
+    ["stirling2", "-n", "4", "-k", "2"], ["stirling2", "-n", "4", "-k", "q", "-r", "2"],
+    ["stirling2", "-n", "4", "-k", "2", "-r", "2", "extra"],
+    ["stirling1", "-n", "4", "-r", "2"], ["stirling1", "-n", "4", "-k", "-1", "-r", "2"],
+    ["stirling1", "-n", "4", "-k", "2", "-r", "2", "--k", "3"],
+    ["hankel", "-r", "2"], ["hankel", "-r", "2", "--nmax", "1.5"],
+    ["hankel", "-r", "2", "--nmax", "2", "-n", "3"],
+    ["dobinski", "-n", "2", "-r", "2"],
+    ["dobinski", "-n", "2", "-r", "2", "--x", "1/0", "--tol", "1"],
+    ["dobinski", "-n", "2", "-r", "2", "--tol", "1e-9", "zz"],
+    ["integral", "-n", "2", "--tol", "1e-8"], ["integral", "-n", "2", "-r", "2", "--tol", "x"],
+    ["integral", "-n", "2", "-r", "2", "--tol", "1e-8", "--x", "1"],
+    ["roots", "-r", "1"], ["roots", "-n", "a", "-r", "1"],
+    ["roots", "-n", "3", "-r", "1", "-k", "1"],
+    ["maxindex", "-n", "3"], ["maxindex", "-n", "3", "-r", "-1"],
+    ["maxindex", "-n", "3", "-r", "1", "x"],
+    ["oracle", "-r", "1"], ["oracle", "-n", "3", "-r", "z"],
+    ["oracle", "-n", "3", "-r", "1", "--poly"],
+    ["verify"], ["verify", "--suite", "nonsense"], ["verify", "--suite", "all", "--wide"],
+] + [[command.name, "--help"] for command in COMMANDS]
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+def test_main_parses_like_the_full_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    expected = (exit_info.value.code, *capsys.readouterr())
+    assert run(capsys, *argv) == expected
+
+
+def test_parser_exits_cover_every_command():
+    names = {argv[0] for argv in PARSER_EXITS if argv}
+    assert {command.name for command in COMMANDS} <= names
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    # the console script calls main() with no arguments
+    monkeypatch.setattr("sys.argv", ["rbell", "stirling2", "-n", "4", "-k", "2", "-r", "2"])
+    code = main()
+    assert code == 0
+    record = '{"op":"stirling2","params":{"n":4,"k":2,"r":2},"value":"4"}\n'
+    assert capsys.readouterr().out == record
+
+
+def test_commands_call_library_functions_through_module_globals(capsys, monkeypatch):
+    # a wrapper installed in rbell.cli's globals must see every library call
+    monkeypatch.setattr(rbell.cli, "stirling2r", lambda n, k, r: 1000 * n + 100 * k + r)
+    code, out, _ = run(capsys, "stirling2", "-n", "4", "-k", "2", "-r", "2")
+    assert code == 0
+    assert json.loads(out)["value"] == "4202"
+    report = RootednessReport(9, 8, True)
+    monkeypatch.setattr(rbell.cli, "real_rootedness_report", lambda n, r: report)
+    code, out, _ = run(capsys, "roots", "-n", "3", "-r", "1")
+    assert code == 0
+    assert out == (
+        '{"op":"roots","params":{"n":3,"r":1},'
+        '"value":{"degree":9,"distinct_neg_roots":8,"root_at_zero":true}}\n'
+    )
+
+
+# Fuzzed argv: token bounds keep every run small (n <= 12, r <= 6); the oracle
+# command stays at n + r <= 10, and so does verify, whose grid is always given
+# because its default grid costs about a second.
+FUZZ_BOUNDS = {"-n": 12, "-k": 14, "-r": 6, "--nmax": 12, "--rmax": 6}
+SMALL_BOUNDS = {"-n": 6, "-r": 4, "--nmax": 6, "--rmax": 4}
+# none abbreviates a real option or asks for help
+JUNK = ("extra", "--bogus", "-z", "--", "7")
+
+
+def _flat(arguments):
+    for argument in arguments:
+        yield from argument if isinstance(argument, list) else [argument]
+
+
+def _argv_strategy(st):
+    def tokens(options, bound):
+        """The valid and the invalid tokens for an option's value."""
+        kind = options.get("type")
+        if kind is _natural:
+            return st.integers(0, bound).map(str), ["-1", "1.5", "x", ""]
+        if kind is _rational:
+            pq = st.tuples(st.integers(-9, 9), st.integers(1, 9)).map("{0[0]}/{0[1]}".format)
+            return pq | st.integers(-9, 9).map(str), ["1/0", "2.5", "x"]
+        if kind is float:
+            return st.sampled_from(["1e-6", "1e-3", "0.5"]), ["0", "-1", "nan", "inf", "x"]
+        return st.sampled_from(options["choices"]), ["nonsense"]
+
+    @st.composite
+    def argvs(draw):
+        command = draw(st.sampled_from(COMMANDS))
+        small = command.name in ("oracle", "verify")
+        argv = [command.name]
+        for flag, options in _flat(command.arguments):
+            given = small and flag in ("--nmax", "--rmax")
+            if not given and draw(st.integers(0, 9)) >= (9 if options.get("required") else 5):
+                continue
+            argv.append(flag)
+            if options.get("action") != "store_true":
+                bound = (SMALL_BOUNDS if small else FUZZ_BOUNDS).get(flag)
+                valid, invalid = tokens(options, bound)
+                # about one value in eight is invalid
+                bad = draw(st.integers(0, 7)) == 7
+                argv.append(draw(st.sampled_from(invalid) if bad else valid))
+        if draw(st.integers(0, 9)) == 9:
+            argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(JUNK)))
+        return argv
+
+    return argvs()
+
+
+def test_fuzzed_argv_exits_cleanly(capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    records = {command.name for command in COMMANDS if command.value is not None}
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(_argv_strategy(st))
+    def check(argv):
+        code, out, _ = run(capsys, *argv)  # an exception out of main fails the test
+        assert code in (0, 1, 2)
+        if code == 0 and argv[0] in records:
+            assert out.count("\n") == 1
+            record = json.loads(out)
+            assert list(record) == ["op", "params", "value"]
+            assert record["op"] == argv[0]
+
+    check()
