@@ -13,7 +13,6 @@ from .algebra import (
     falling_factorial_poly,
     fraction_free_det,
     pochhammer,
-    squarefree_part,
     sturm_root_count,
 )
 from .analytic import (
@@ -114,7 +113,6 @@ __all__ = [
     "real_rootedness_report",
     "run_suite",
     "sin_moment",
-    "squarefree_part",
     "stirling1r",
     "stirling2r",
     "stirling2r_explicit",

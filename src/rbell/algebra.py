@@ -170,9 +170,16 @@ class IntPolynomial:
         return IntPolynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k))
 
     def __call__(self, x: Scalar) -> Scalar:
-        """Evaluate by Horner's rule; exact for int or Fraction arguments."""
+        """Evaluate by Horner's rule; exact for int or Fraction arguments.
+
+        At a Fraction the value of a nonzero polynomial is a Fraction,
+        reduced once from the integer den^d p(num/den)."""
+        cs = self.coeffs
+        if isinstance(x, Fraction) and cs:
+            num, den = x.numerator, x.denominator
+            return Fraction(_homogenised_value(cs, num, den), den ** (len(cs) - 1))
         acc: Scalar = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(cs):
             acc = acc * x + c
         return acc
 
@@ -186,6 +193,16 @@ class IntPolynomial:
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)!r})"
+
+
+def _homogenised_value(coeffs: Sequence[int], num: int, den: int) -> int:
+    """den^d p(num/den) = sum_k c_k num^k den^(d-k) for p of degree d, by
+    Horner's rule in integers."""
+    v, den_power = 0, 1
+    for c in reversed(coeffs):
+        v = v * num + c * den_power
+        den_power *= den
+    return v
 
 
 def _as_poly(v) -> "IntPolynomial":
@@ -216,14 +233,18 @@ class ApproxReal:
 
 
 def pochhammer(x: Scalar, n: int) -> Fraction:
-    """Rising factorial (x)_n = x(x+1)...(x+n-1), with (x)_0 = 1."""
+    """Rising factorial (x)_n = x(x+1)...(x+n-1), with (x)_0 = 1.
+
+    For x = u/v this is prod_i (u + i v) / v^n, multiplied out in integers
+    and reduced once."""
     if n < 0:
         raise DomainError("pochhammer index must be a natural number")
-    acc = Fraction(1)
     xf = Fraction(x)
+    u, v = xf.numerator, xf.denominator
+    acc = 1
     for i in range(n):
-        acc *= xf + i
-    return acc
+        acc *= u + i * v
+    return Fraction(acc, v**n)
 
 
 def falling_factorial_poly(n: int) -> IntPolynomial:
@@ -363,17 +384,6 @@ def _remainder_sequence(p: IntPolynomial) -> list[IntPolynomial]:
     return prs if prs[-1] else prs[:-1]
 
 
-def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """p / gcd(p, p'), normalized to a primitive integer polynomial with
-    positive leading coefficient.  Equals p (up to content) iff all roots of p
-    are simple."""
-    if p.is_zero():
-        raise DomainError("zero polynomial has no square-free part")
-    prs = _remainder_sequence(p)
-    sf = prs[0] // prs[-1]  # a quotient of primitive polynomials is primitive
-    return sf if sf.leading_coefficient > 0 else -sf
-
-
 def _sign_at(p: IntPolynomial, point) -> int:
     cs = p.coeffs
     if point == math.inf:
@@ -381,13 +391,8 @@ def _sign_at(p: IntPolynomial, point) -> int:
     elif point == -math.inf:
         v = cs[-1] if len(cs) % 2 else -cs[-1]
     else:
-        # den^d p(num/den) = sum_k c_k num^k den^(d-k), in integers
         q = Fraction(point)
-        num, den = q.numerator, q.denominator
-        v, den_power = 0, 1
-        for c in reversed(cs):
-            v = v * num + c * den_power
-            den_power *= den
+        v = _homogenised_value(cs, q.numerator, q.denominator)
     return (v > 0) - (v < 0)
 
 

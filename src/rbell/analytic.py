@@ -13,8 +13,12 @@ Each numeric scheme is written once:
 - The e^{-x} factors of `dobinski_eval` and `kummer_residual` share one
   error-propagation block (`_times_exp_neg`), which relies on libm's exp
   being within a few ulp.
-- `egf_coeffs` runs the exponential recurrence on its own exact Fraction
-  list.
+- Both series predict an overflow of the float range before summing, from
+  a log-sum-exp over the terms around the largest one, when every term is
+  positive (`_check_log_concave_sum`); otherwise the final conversion finds
+  it.
+- `egf_coeffs` runs the exponential recurrence on integer numerators over
+  n! q^n, for x = p/q.
 - `cesaro_integral` and `sin_moment` share one Simpson doubling loop
   (`_simpson_refinements`); each keeps only its stopping rule.  The
   quadrature error is estimated from successive refinements, not certified.
@@ -103,7 +107,8 @@ def dobinski_series_sum(n: int, r: int, x, tol: float) -> ApproxReal:
         raise DomainError("dobinski evaluation needs x > 0")
 
     k_min = max(n + r, math.ceil(_TWO_E_UPPER * xq))
-    _check_series_fits_float(n, r, xq, k_min - 1)
+    what = f"the Dobinski sum at (n={n}, r={r}, x={xq})"
+    _check_series_fits_float(n, r, xq, k_min - 1, what)
     p, q = xq.numerator, xq.denominator
     tol_num, tol_den = tol_f.numerator, tol_f.denominator
     num, den, p_pow = r**n, 1, 1  # partial sum num / den through k = 0
@@ -119,32 +124,41 @@ def dobinski_series_sum(n: int, r: int, x, tol: float) -> ApproxReal:
         num += term
         k += 1
 
-    what = f"the Dobinski sum at (n={n}, r={r}, x={xq})"
     return _to_float(Fraction(num, den), Fraction(2 * term, den), what)
 
 
-def _check_series_fits_float(n: int, r: int, xq: Fraction, k_last: int) -> None:
+def _check_series_fits_float(n: int, r: int, xq: Fraction, k_last: int, what: str) -> None:
     """Raise DomainError before summing when the Dobinski series through index
-    k_last is certain to exceed the float range.
-
-    All terms t_k = (k+r)^n x^k / k! are positive, so the partial sum is at
-    least the sum of any of its terms.  log t_k is concave in k, so a
-    bisection on the sign of log t_{k+1} - log t_k finds the largest term
-    among k <= k_last, and the terms within a factor e^-40 of it are the
-    consecutive ones around it; their log-sum-exp bounds the log of the sum
-    from below.  Leaving terms out only lowers that bound, so float error in
-    the search cannot make the test unsound.  The final comparison allows a
-    relative slack of 1e-6 on log t_k, far above the error of the log, lgamma
-    and exp calls behind it, so a sum that fits in a float is never rejected.
-    """
+    k_last is certain to exceed the float range.  Its terms
+    t_k = (k+r)^n x^k / k! are positive and log t_k is concave in k."""
     log_x = math.log(xq.numerator) - math.log(xq.denominator)
 
     def log_term(k: int) -> float:
         return n * math.log(k + r) + k * log_x - math.lgamma(k + 1)
 
+    def size(k: int) -> float:
+        return n * math.log(k + r) + k * abs(log_x) + math.lgamma(k + 1)
+
     # k + r >= 1 throughout: t_0 = 0^n is skipped when r = 0
     first = 1 if r == 0 else 0
-    last = max(first, k_last)
+    _check_log_concave_sum(log_term, size, first, max(first, k_last), what)
+
+
+def _check_log_concave_sum(log_term, size, first: int, last: int, what: str) -> None:
+    """Raise DomainError naming what when the sum of the positive terms t_k,
+    k = first..last, is certain to exceed the float range.
+
+    log_term(k) is log t_k in floats, its increments nonincreasing in k, and
+    size(k) bounds the magnitudes of the logs it combines.  A partial sum is
+    at least the sum of any of its terms.  A bisection on the sign of
+    log t_{k+1} - log t_k finds the largest term among first..last, and the
+    terms within a factor e^-40 of it are the consecutive ones around it;
+    their log-sum-exp bounds the log of the sum from below.  Leaving terms
+    out only lowers that bound, so float error in the search cannot make the
+    test unsound.  The final comparison allows a relative slack of 1e-6 on
+    the size of log t_k, far above the error of the log, lgamma and exp calls
+    behind it, so a sum that fits in a float is never rejected.
+    """
     lo, hi = first, last
     while lo < hi:
         mid = (lo + hi) // 2
@@ -154,10 +168,10 @@ def _check_series_fits_float(n: int, r: int, xq: Fraction, k_last: int) -> None:
             hi = mid
     k = lo
     peak = log_term(k)
-    slack = 1e-6 * (1 + n * math.log(k + r) + k * abs(log_x) + math.lgamma(k + 1))
+    slack = 1e-6 * (1 + size(k))
     scaled = [1.0]  # t_j / t_k for the terms j near k
     # The walk can only change the verdict when t_k fits but the sum through
-    # k_last, at most (last - first + 1) t_k, might not; in that band the
+    # last, at most (last - first + 1) t_k, might not; in that band the
     # terms within e^-40 of t_k span a few hundred indices at most.
     if _LOG_FLOAT_MAX - math.log(last - first + 1) < peak <= _LOG_FLOAT_MAX + slack:
         for step in (-1, 1):
@@ -171,7 +185,7 @@ def _check_series_fits_float(n: int, r: int, xq: Fraction, k_last: int) -> None:
     log_sum = peak + math.log(math.fsum(scaled))
     if log_sum > _LOG_FLOAT_MAX + slack:
         raise DomainError(
-            f"the Dobinski sum at (n={n}, r={r}, x={xq}) exceeds the float range: "
+            f"{what} exceeds the float range: "
             f"its terms near k={k} alone sum to about e^{log_sum:.1f}"
         )
 
@@ -199,14 +213,22 @@ def egf_coeffs(n_max: int, r: int, x) -> list[Fraction]:
     With f = x(e^z - 1) + r z, the coefficients g_n of g = e^f follow from
     g' = f' g: n g_n = sum_{k=1..n} k f_k g_{n-k}, g_0 = 1, where
     k f_k = x/(k-1)! plus r at k = 1.
+
+    With x = p/q the recurrence runs on the integers h_n = n! q^n g_n:
+
+        h_n = r q h_{n-1} + p sum_{k=1..n} C(n-1, k-1) q^(k-1) h_{n-k},
+
+    and each g_n is reduced once from h_n / (n! q^n).
     """
     _check_natural(n_max=n_max, r=r)
     xq = Fraction(x)
-    kf = [Fraction(0), xq + r] + [xq / math.factorial(k - 1) for k in range(2, n_max + 1)]
-    g = [Fraction(1)]
+    p, q = xq.numerator, xq.denominator
+    q_pow = [q**k for k in range(n_max + 1)]
+    h = [1]
     for n in range(1, n_max + 1):
-        g.append(Fraction(sum(kf[k] * g[n - k] for k in range(1, n + 1)), n))
-    return g
+        inner = sum(math.comb(n - 1, k - 1) * q_pow[k - 1] * h[n - k] for k in range(1, n + 1))
+        h.append(r * q * h[n - 1] + p * inner)
+    return [Fraction(hn, math.factorial(n) * q_pow[n]) for n, hn in enumerate(h)]
 
 
 def ogf_coefficient_pair(m: int, r: int, z) -> tuple[Fraction, Fraction]:
@@ -226,10 +248,12 @@ def ogf_coefficient_pair(m: int, r: int, z) -> tuple[Fraction, Fraction]:
         if j * zq == 1:
             raise DomainError(f"z = 1/{j} is a pole of the generating function")
 
-    denom = Fraction(1)
+    # with z = p/q: lhs = p^m q / prod_j (q - j p), in integers
+    p, q = zq.numerator, zq.denominator
+    denom = 1
     for j in range(r, m + r + 1):
-        denom *= 1 - j * zq
-    lhs = zq**m / denom
+        denom *= q - j * p
+    lhs = Fraction(p**m * q, denom)
 
     poch = pochhammer((r * zq + zq - 1) / zq, m)
     rhs = Fraction(-1, 1) / (r * zq - 1) * Fraction((-1) ** m) / poch
@@ -260,6 +284,9 @@ def hypergeom_1f1(a, b, x, tol: float) -> ApproxReal:
 
     # For k >= k_min: |a+k|/|b+k| <= 2 and |x|/(k+1) <= 1/4, so ratio <= 1/2.
     k_min = max(math.ceil(abs(aq - bq) - bq), math.ceil(4 * abs(xq)), 1)
+    what = f"1F1({aq}; {bq}; {xq})"
+    if aq > 0 and bq > 0 and xq > 0:
+        _check_1f1_fits_float(aq, bq, xq, k_min - 1, what)
     pa, qa = aq.numerator, aq.denominator
     pb, qb = bq.numerator, bq.denominator
     px, qx = xq.numerator, xq.denominator
@@ -278,8 +305,49 @@ def hypergeom_1f1(a, b, x, tol: float) -> ApproxReal:
         num += term
         k += 1
 
-    what = f"1F1({aq}; {bq}; {xq})"
     return _to_float(Fraction(num, den), Fraction(2 * abs(term), abs(den)), what)
+
+
+def _check_1f1_fits_float(
+    aq: Fraction, bq: Fraction, xq: Fraction, k_last: int, what: str
+) -> None:
+    """Raise DomainError before summing when 1F1(a; b; x) with a, b, x > 0
+    is certain to exceed the float range through index k_last.
+
+    Every term t_k = (a)_k/(b)_k x^k/k! is then positive.  The term ratio
+    x (a+k) / ((b+k)(k+1)) is nonincreasing in k wherever
+    k^2 + 2ak + a(b+1) - b >= 0, so at least from k^2 >= b on, and there the
+    logs of the terms are concave.  Terms below that index are left out of
+    the bound; an a, b or log term that a float cannot carry leaves the
+    whole test to the final conversion.
+    """
+    first = math.isqrt(math.ceil(bq)) + 1
+    if first > k_last:
+        return
+    try:
+        af, bf = float(aq), float(bq)
+        base = math.lgamma(bf) - math.lgamma(af)
+    except (OverflowError, ValueError):
+        # a or b past the float range, or so small that it rounds to the
+        # float 0, where lgamma has a pole
+        return
+    log_x = math.log(xq.numerator) - math.log(xq.denominator)
+
+    def log_term(k: int) -> float:
+        return (
+            base + math.lgamma(af + k) - math.lgamma(bf + k) + k * log_x - math.lgamma(k + 1)
+        )
+
+    def size(k: int) -> float:
+        return (
+            abs(base) + abs(math.lgamma(af + k)) + abs(math.lgamma(bf + k))
+            + k * abs(log_x) + math.lgamma(k + 1)
+        )
+
+    try:
+        _check_log_concave_sum(log_term, size, first, k_last, what)
+    except OverflowError:
+        pass  # lgamma past the float range, at an index near 10^305
 
 
 def kummer_residual(a, b, x, tol: float) -> ApproxReal:

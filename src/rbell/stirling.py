@@ -17,7 +17,7 @@ from collections import OrderedDict
 from itertools import repeat
 from operator import add, mul
 
-from .algebra import IntPolynomial, falling_factorial_poly
+from .algebra import IntPolynomial
 from .errors import DomainError, InconsistencyError
 
 
@@ -143,12 +143,14 @@ def horizontal_check(n: int, r: int) -> IntPolynomial:
 
         (x+r)^n = sum_k {n+r, k+r}_r x^(k falling)
 
-    as a polynomial; the contract is the zero polynomial.
+    as a polynomial; the contract is the zero polynomial.  The right side is
+    built in nested Newton form c_0 + x (c_1 + (x-1) (c_2 + ...)), one linear
+    factor per step.
     """
     _check_natural(n=n, r=r)
     lhs = IntPolynomial((r, 1)) ** n
     rhs = IntPolynomial()
-    for k, c in enumerate(stirling_row(2, n + r, r)):
-        if c:
-            rhs = rhs + c * falling_factorial_poly(k)
+    row = stirling_row(2, n + r, r)
+    for k in range(len(row) - 1, -1, -1):
+        rhs = IntPolynomial((-k, 1)) * rhs + row[k]
     return lhs - rhs

@@ -173,12 +173,15 @@ def _polynomial_formulas(nmax: None, rmax: int) -> str | None:
 
 def _bell_addition(nmax: int, rmax: None) -> str | None:
     points = (Fraction(1, 2), Fraction(1), Fraction(2))
+    polys = [bell_poly(k) for k in range(nmax + 1)]
+    # B_k(x) at each point, evaluated once and shared by every (n, y)
+    values = {x: [p(x) for p in polys] for x in points}
     for n in range(nmax + 1):
         for x in points:
             for y in points:
                 lhs = bell_poly(n)(x + y)
                 rhs = sum(
-                    binomial(n, k) * bell_poly(k)(x) * bell_poly(n - k)(y)
+                    binomial(n, k) * values[x][k] * values[y][n - k]
                     for k in range(n + 1)
                 )
                 if lhs != rhs:
@@ -276,39 +279,48 @@ def _erratum(nmax: None, rmax: None) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
-# carlitz: nmax bounds n + m
+# carlitz: nmax bounds n + m.  Each scan compares the library's Carlitz sums,
+# which read r-Bell numbers off r-Stirling rows, with one rbell_table built by
+# the Bell triangle and Whitehead's step.
 
 
 def _carlitz_compose(total: int, rmax: int) -> str | None:
+    table = rbell_table(total, rmax)  # B_{n+m,r} at [r][n + m]
     for r in range(rmax + 1):
         for n in range(total + 1):
             for m in range(total + 1 - n):
                 got = carlitz_compose(n, m, r)
-                want = rbell_number(n + m, r)
+                want = table[r][n + m]
                 if got != want:
                     return f"(n={n}, m={m}, r={r}): {got} vs B = {want}"
     return None
 
 
 def _carlitz_inverse(total: int, rmax: int) -> str | None:
+    table = rbell_table(total, rmax + total)  # B_{n,r+m} at [r + m][n]
     for r in range(rmax + 1):
         for n in range(total + 1):
             for m in range(total + 1 - n):
                 got = carlitz_inverse(n, m, r)
-                want = rbell_number(n, r + m)
+                want = table[r + m][n]
                 if got != want:
                     return f"(n={n}, m={m}, r={r}): {got} vs B = {want}"
     return None
 
 
 def _carlitz_roundtrip(total: int, rmax: int) -> str | None:
-    # compose fed with inverse-produced values must reproduce B_{n+m,r}
+    # compose fed with inverse-produced values must reproduce B_{n+m,r}; each
+    # inverse value carlitz_inverse(n, j, r), j <= total - n, is computed once
+    table = rbell_table(total, rmax)
     for r in range(rmax + 1):
         rows = [stirling_row(2, m + r, r) for m in range(total + 1)]
+        inverses = [
+            [carlitz_inverse(n, j, r) for j in range(total + 1 - n)] for n in range(total + 1)
+        ]
         for n in range(total + 1):
             for m in range(total + 1 - n):
-                recomposed = sum(s * carlitz_inverse(n, j, r) for j, s in enumerate(rows[m]))
-                want = rbell_number(n + m, r)
+                recomposed = sum(s * inverses[n][j] for j, s in enumerate(rows[m]))
+                want = table[r][n + m]
                 if recomposed != want:
                     return f"(n={n}, m={m}, r={r}): {recomposed} vs {want}"
     return None

@@ -13,7 +13,6 @@ from rbell.algebra import (
     fraction_free_det,
     leading_principal_minors,
     pochhammer,
-    squarefree_part,
     sturm_root_count,
 )
 from rbell.errors import DomainError, InconsistencyError
@@ -87,6 +86,34 @@ def test_polynomial_evaluation_and_calculus():
         p.divide_by_x()
 
 
+def _horner_reference(coeffs, x):
+    # the Horner loop evaluation used before integer numerators
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def test_polynomial_evaluation_matches_the_fraction_horner_loop():
+    rng = random.Random(7)
+    polys = [IntPolynomial(), IntPolynomial([5]), IntPolynomial([-3]), IntPolynomial([0, 1])]
+    polys += [
+        IntPolynomial([rng.randint(-10**6, 10**6) for _ in range(rng.randrange(1, 30))])
+        for _ in range(60)
+    ]
+    points = [0, 1, -3, 7, Fraction(0), Fraction(5), Fraction(-4), Fraction(1, 2)]
+    points += [Fraction(-7, 3), Fraction(22, 7), Fraction(-1, 10**9), Fraction(10**12, 3)]
+    for p in polys:
+        for x in points:
+            got, want = p(x), _horner_reference(p.coeffs, x)
+            assert got == want and type(got) is type(want), (p, x, got, want)
+    # a nonzero polynomial at a Fraction gives a Fraction, the zero polynomial int 0
+    assert type(IntPolynomial([5])(Fraction(3))) is Fraction
+    assert type(IntPolynomial()(Fraction(1, 2))) is int
+    assert type(IntPolynomial([1, 2])(3)) is int
+    assert IntPolynomial([1, 2])(0.5) == 2.0
+
+
 def test_polynomial_accessors():
     p = IntPolynomial([4, 5, 1])
     assert p.constant_term == 4
@@ -133,6 +160,21 @@ def test_pochhammer_values():
     assert pochhammer(-3, 5) == 0
     with pytest.raises(DomainError):
         pochhammer(1, -1)
+
+
+def test_pochhammer_matches_the_fraction_loop():
+    def reference(x, n):
+        acc = Fraction(1)
+        for i in range(n):
+            acc *= Fraction(x) + i
+        return acc
+
+    xs = [0, 1, 5, -3, Fraction(1, 2), Fraction(-7, 3), Fraction(31, 6), Fraction(-40, 7)]
+    xs += [Fraction(1, 10**6), Fraction(-9, 2)]
+    for x in xs:
+        for n in range(31):
+            got = pochhammer(x, n)
+            assert got == reference(x, n) and type(got) is Fraction, (x, n)
 
 
 def test_falling_factorial_poly():
@@ -259,16 +301,6 @@ def test_leading_principal_minors():
                 leading_principal_minors(m)
         else:
             assert leading_principal_minors(m) == expected
-
-
-def test_squarefree_part():
-    x = IntPolynomial([0, 1])
-    p = (x + 1) ** 2 * (x + 2)
-    assert squarefree_part(p) == (x + 1) * (x + 2)
-    assert squarefree_part(x + 3) == x + 3
-    assert squarefree_part(-2 * (x + 1) ** 3) == x + 1
-    with pytest.raises(DomainError):
-        squarefree_part(IntPolynomial())
 
 
 def test_sturm_examples():

