@@ -19,9 +19,11 @@ Each numeric scheme is written once:
   it.
 - `egf_coeffs` runs the exponential recurrence on integer numerators over
   n! q^n, for x = p/q.
-- `cesaro_integral` and `sin_moment` share one Simpson doubling loop
-  (`_simpson_refinements`); each keeps only its stopping rule.  The
-  quadrature error is estimated from successive refinements, not certified.
+- `cesaro_integral` and `sin_moment` share one full-period trapezoid rule
+  (`_trapezoid`) with a certified err: the Cauchy bound on its aliasing
+  error plus a rounding bound, from a float pass where that bound meets the
+  tolerance (libm within a few ulp, as for `_times_exp_neg`) and otherwise
+  from a fixed-point pass in integers, its rounding counted in ulps.
 """
 
 from __future__ import annotations
@@ -157,15 +159,24 @@ def _check_log_concave_sum(log_term, size, first: int, last: int, what: str) -> 
     out only lowers that bound, so float error in the search cannot make the
     test unsound.  The final comparison allows a relative slack of 1e-6 on
     the size of log t_k, far above the error of the log, lgamma and exp calls
-    behind it, so a sum that fits in a float is never rejected.
+    behind it, so a sum that fits in a float is never rejected.  Indices so
+    large (about 1e305) that log-gamma overflows raise DomainError too: no
+    term-by-term sum reaches them.
     """
     lo, hi = first, last
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if log_term(mid + 1) > log_term(mid):
-            lo = mid + 1
-        else:
-            hi = mid
+    try:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if log_term(mid + 1) > log_term(mid):
+                lo = mid + 1
+            else:
+                hi = mid
+    except OverflowError:
+        # lgamma, or an index converted to a float, overflows past k ~ 1e305
+        raise DomainError(
+            f"{what} cannot be summed: its terms run to k={last}, "
+            "where log-gamma exceeds the float range"
+        ) from None
     k = lo
     peak = log_term(k)
     slack = 1e-6 * (1 + size(k))
@@ -318,8 +329,9 @@ def _check_1f1_fits_float(
     x (a+k) / ((b+k)(k+1)) is nonincreasing in k wherever
     k^2 + 2ak + a(b+1) - b >= 0, so at least from k^2 >= b on, and there the
     logs of the terms are concave.  Terms below that index are left out of
-    the bound; an a, b or log term that a float cannot carry leaves the
-    whole test to the final conversion.
+    the bound; an a or b that a float cannot carry leaves the whole test to
+    the final conversion, and indices past the float range of log-gamma
+    raise DomainError.
     """
     first = math.isqrt(math.ceil(bq)) + 1
     if first > k_last:
@@ -344,10 +356,7 @@ def _check_1f1_fits_float(
             + k * abs(log_x) + math.lgamma(k + 1)
         )
 
-    try:
-        _check_log_concave_sum(log_term, size, first, k_last, what)
-    except OverflowError:
-        pass  # lgamma past the float range, at an index near 10^305
+    _check_log_concave_sum(log_term, size, first, k_last, what)
 
 
 def kummer_residual(a, b, x, tol: float) -> ApproxReal:
@@ -367,18 +376,65 @@ def kummer_residual(a, b, x, tol: float) -> ApproxReal:
 
 # ---------------------------------------------------------------------------
 # quadrature
+#
+# Both quadratures integrate g(t) = Im e^{z(e^{it})} sin(n t) over [0, pi],
+# with z(w) = a e^w + b w: a = 1, b = r for the integral representation and
+# a = 0, b = j for sin_moment.  The Taylor coefficients d_k of e^{z(w)} are
+# real, so g is even and 2 pi-periodic and int_0^pi g = (pi/2) d_n.  The
+# trapezoid rule with M > n nodes on the full period, written as
+# (pi/M) S with S = sum_{m=0..M/2} w_m g(2 pi m/M) and weights 1, 2, ..., 2, 1,
+# equals (pi/2)(d_n + sum_{i>=1} (d_{n+iM} - d_{iM-n})) exactly (Trefethen and
+# Weideman, SIAM Review 2014).  Cauchy's estimate on |w| = rho,
+# |d_k| <= e^{phi(rho)} / rho^k with phi(rho) = a e^rho + b rho, bounds the
+# aliased terms.  S is summed in floats when their rounding bound certifies
+# the tolerance, and otherwise in fixed-point integers (Brent and Zimmermann,
+# Modern Computer Arithmetic, ch. 4).
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """A quadrature value whose err is the last Simpson refinement difference."""
+    """A quadrature value with a certified err, and the number M of nodes of
+    the full-period trapezoid rule behind it.
+
+    err is the Cauchy bound on the rule's aliasing error plus a bound on the
+    rounding: in floats under the assumption that libm is within a few ulp,
+    in fixed point by counting ulps per operation."""
 
     value: ApproxReal
     nodes_used: int
 
 
-_BASE_INTERVALS = 16
-_MAX_INTERVALS = 1 << 20
+_EPS = sys.float_info.epsilon
+_LOG2 = math.log(2)
+# a float result resolves no finer than 2^-53 relative, so the quadratures
+# take no tolerance below 2^-50
+_MIN_QUAD_TOL = 2.0**-50
+# _fx_exp halves its argument until each part is below 2^-_HALVING; the
+# fixed-point node table carries _TABLE_GUARD extra bits; the fixed-point
+# pass doubles its bits at most _MAX_DOUBLINGS times
+_HALVING = 8
+_TABLE_GUARD = 24
+_MAX_DOUBLINGS = 3
+
+
+def _float_forms(c: float, s: float, a: int, b: int) -> tuple[float, float, float]:
+    """Im e^{z(w)} at w = c + i s, z(w) = a e^w + b w, in both forms, and
+    the modulus |e^{z(w)}| = e^{A + b c}.
+
+    The complex form exponentiates z(w) with cmath; the expanded real form
+    is e^{A + b c} [cos(B) sin(b s) + sin(B) cos(b s)] with
+    A + i B = a e^c (cos s + i sin s)."""
+    w = complex(c, s)
+    z = cmath.exp(w) + b * w if a else b * w
+    complex_form = cmath.exp(z).imag
+    ec = math.exp(c) if a else 0.0
+    big_a = ec * math.cos(s)
+    big_b = ec * math.sin(s)
+    modulus = math.exp(big_a + b * c)
+    real_form = modulus * (
+        math.cos(big_b) * math.sin(b * s) + math.sin(big_b) * math.cos(b * s)
+    )
+    return complex_form, real_form, modulus
 
 
 def cesaro_integrand_forms(theta: float, n: int, r: int) -> tuple[float, float]:
@@ -389,46 +445,333 @@ def cesaro_integrand_forms(theta: float, n: int, r: int) -> tuple[float, float]:
     e^{e^{cos t} cos(sin t) + r cos t} [cos(B) sin(r sin t) + sin(B) cos(r sin t)]
     sin(n t) with B = e^{cos t} sin(sin t).
     """
-    c = math.cos(theta)
-    s = math.sin(theta)
+    complex_form, real_form, _ = _float_forms(math.cos(theta), math.sin(theta), 1, r)
     sn = math.sin(n * theta)
-    w = complex(c, s)
-    u = cmath.exp(w)
-    complex_form = cmath.exp(u + r * w).imag * sn
-    ec = math.exp(c)
-    big_a = ec * math.cos(s)
-    big_b = ec * math.sin(s)
-    real_form = (
-        math.exp(big_a + r * c)
-        * (math.cos(big_b) * math.sin(r * s) + math.sin(big_b) * math.cos(r * s))
-        * sn
+    return complex_form * sn, real_form * sn
+
+
+def _cauchy_radius(a: int, b: int, d: float) -> float:
+    """The rho > 0 with rho phi'(rho) = d, phi(rho) = a e^rho + b rho, where
+    e^{phi(rho)} / rho^d is least (inf when phi is constant)."""
+    if not a:
+        return d / b if b else math.inf
+    # rho phi'(rho) - d is convex and increasing and positive at log(1 + d),
+    # so Newton's method from there descends monotonically onto the root
+    rho = math.log1p(d)
+    for _ in range(100):
+        step = (rho * (math.exp(rho) + b) - d) / (math.exp(rho) * (1 + rho) + b)
+        rho -= step
+        if step <= 1e-12 * rho:
+            break
+    return rho
+
+
+def _trapezoid_nodes(a: int, b: int, n: int, log_budget: float) -> tuple[int, float]:
+    """An even node count M > n, and the log of the Cauchy bound on
+    sum_{i>=1} |d_{n+iM}| + |d_{iM-n}|, which is at most log_budget.
+
+    For rho > 1 with rho^M >= 2 that sum is at most
+    e^{phi(rho)} (rho^-n + rho^n) rho^-M / (1 - rho^-M)
+    <= 4 e^{phi(rho)} rho^(n-M), so M >= n + (phi(rho) + c) / log rho with
+    c = log 4 - log_budget suffices.  That least M is smallest where
+    h(rho) = rho phi'(rho) log rho - phi(rho) - c, increasing for rho > 1,
+    changes sign; bisection on log rho finds it."""
+    c = 2 * _LOG2 - log_budget
+
+    def phi(rho: float) -> float:
+        return (math.exp(rho) if a else 0.0) + b * rho
+
+    def h(u: float) -> float:
+        rho = math.exp(u)
+        return rho * ((math.exp(rho) if a else 0.0) + b) * u - phi(rho) - c
+
+    # rho stays below e^6.5, where e^rho still fits a float
+    lo, hi = math.log(1.25), 1.0
+    while hi < 6.5 and h(hi) < 0:
+        lo, hi = hi, 2 * hi
+    hi = min(hi, 6.5)
+    if h(lo) < 0:
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if h(mid) < 0 else (lo, mid)
+    rho = math.exp(lo)
+    log_rho = lo
+    need = n + (phi(rho) + c) / log_rho
+    m_count = max(4, 2 * math.ceil(need / 2), n + 2 - n % 2)
+    log_alias = (
+        phi(rho) + n * log_rho + math.log1p(math.exp(-2 * n * log_rho))
+        - m_count * log_rho - math.log1p(-math.exp(-m_count * log_rho))
     )
-    return complex_form, real_form
+    return m_count, log_alias
 
 
-def _simpson(f, n_intervals: int) -> float:
-    h = math.pi / n_intervals
-    total = f(0.0) + f(math.pi)
-    for i in range(1, n_intervals):
-        total += f(i * h) * (4.0 if i % 2 else 2.0)
-    return total * h / 3.0
+def _float_pass(n: int, a: int, b: int, m_count: int, label: str) -> tuple[float, float, float]:
+    """S in floats, a bound on its rounding error, and sum_m w_m max(1, |e^z|).
+
+    Under the assumption that libm is within a few ulp, either form at a node
+    of modulus E = |e^{z(w)}| is within E eps (32 + 24 (a e + b)) of its
+    exact value, which covers the rounding of the node angle (the integrand's
+    t-derivative is at most E (a e + b)), of w, e^w and z, of the final
+    exponential, and of sin(n t), whose argument is reduced exactly to
+    2 pi (n m mod M) / M.  Forms further apart than twice that raise
+    InconsistencyError.  math.fsum rounds S once."""
+    step = math.tau / m_count
+    half = m_count // 2
+    spread = _EPS * (32 + 24 * (a * math.e + b))
+    terms = []
+    bound = moduli = 0.0
+    for m in range(half + 1):
+        theta = step * m
+        complex_form, real_form, modulus = _float_forms(
+            math.cos(theta), math.sin(theta), a, b
+        )
+        node_err = spread * modulus
+        if abs(complex_form - real_form) > 2 * node_err:
+            raise InconsistencyError(
+                f"integrand forms disagree at theta={theta!r} for {label}: "
+                f"{complex_form!r} vs {real_form!r}"
+            )
+        weight = 1 if m in (0, half) else 2
+        terms.append(weight * complex_form * math.sin(step * (n * m % m_count)))
+        bound += weight * node_err
+        moduli += weight * max(1.0, modulus)
+    total = math.fsum(terms)
+    return total, bound + _EPS * abs(total), moduli
 
 
-def _simpson_refinements(f, scale: float, label: str):
-    """Composite Simpson estimates of scale * int_0^pi f on 16, 32, 64, ...
-    intervals.  Each estimate after the first is yielded as
-    (estimate, |estimate - previous|, intervals), and the caller stops on its
-    own rule; past the interval cap ConvergenceError names label."""
-    previous = None
-    intervals = _BASE_INTERVALS
-    while intervals <= _MAX_INTERVALS:
-        estimate = _simpson(f, intervals) * scale
-        if previous is not None:
-            yield estimate, abs(estimate - previous), intervals
-        previous = estimate
-        intervals *= 2
+def _fx_exp(x: int, y: int, bits: int) -> tuple[int, int]:
+    """e^{(x + i y) / 2^bits} in fixed point with bits fractional bits.
+
+    The argument is halved k times, until each part is below 2^-_HALVING,
+    its Taylor series is summed until a term is down to an ulp or two, and
+    the sum is squared k times.  A real or purely imaginary argument sums
+    one real series, whose terms cycle through the powers of i in the
+    latter case.  Every product and quotient is floored, so each step errs
+    by at most one ulp per part; _fx_exp_err bounds the result's error."""
+    k = (max(abs(x), abs(y)) >> (bits - _HALVING)).bit_length()
+    x >>= k
+    y >>= k
+    one = 1 << bits
+    if x and y:
+        re = tr = one
+        im = ti = 0
+        j = 1
+        while abs(tr) + abs(ti) > 2:
+            tr, ti = ((tr * x - ti * y) >> bits) // j, ((tr * y + ti * x) >> bits) // j
+            re += tr
+            im += ti
+            j += 1
+    else:
+        v, turn = (y, 1) if y else (x, 0)
+        sums = [one, 0, 0, 0]  # the terms at i^0, i^1, i^2, i^3
+        t = one
+        j = 1
+        while t > 1 or t < -1:
+            t = ((t * v) >> bits) // j
+            sums[j * turn & 3] += t
+            j += 1
+        re, im = sums[0] - sums[2], sums[1] - sums[3]
+    if im:
+        for _ in range(k):
+            re, im = (re * re - im * im) >> bits, (re * im) >> (bits - 1)
+    else:
+        for _ in range(k):
+            re = (re * re) >> bits
+    return re, im
+
+
+def _fx_exp_err(part: float, bits: int) -> float:
+    """ulps of error of _fx_exp, per unit of max(1, |result|), at an exact
+    argument whose parts are at most part.
+
+    With k halvings and at most T = bits // 7 + 2 Taylor terms: the halving
+    floors move the argument by sqrt(2) 2^-k ulp; the terms carry at most
+    1.43 ulp each and the truncated tail 0.03 ulp; each squaring doubles the
+    relative error and adds sqrt(2) ulp.  That totals
+    2^k (1.51 (T + 1) + 2.9) ulp times max(1, |result|), to first order;
+    the constants below round it up."""
+    k = (int(part * 2**_HALVING) + 1).bit_length()
+    return 2.0**k * (1.6 * (bits // 7 + 2) + 4.5)
+
+
+def _machin_pi(bits: int) -> int:
+    """pi in fixed point with bits fractional bits, within 2 ulp, by
+    Machin's formula pi = 16 atan(1/5) - 4 atan(1/239)."""
+    guard = 20
+    one = 1 << (bits + guard)
+
+    def acot(x: int) -> int:
+        # each term is floored once from an exact power quotient: < 2 ulp
+        power = one // x
+        total, k = power, 1
+        while power:
+            power //= x * x
+            term = power // (2 * k + 1)
+            total += -term if k % 2 else term
+            k += 1
+        return total
+
+    return (16 * acot(5) - 4 * acot(239)) >> guard
+
+
+def _fx_pi(bits: int) -> tuple[int, int]:
+    return _machin_pi(bits), 2
+
+
+def _fx_inverse_e(bits: int) -> tuple[int, int]:
+    return _fx_exp(-1 << bits, 0, bits)[0], math.ceil(_fx_exp_err(1, bits))
+
+
+def _fx_node_err(a: int, b: int, m_count: int, bits: int) -> int:
+    """K of _fixed_pass: ulps of error of either fixed-point form at a node,
+    per unit of max(1, |e^{z(w)}|).
+
+    A node table entry errs by at most the final floor's ulp plus, per
+    power, the error of e^{2 pi i / M} and of its angle and the product's
+    floors, all at _TABLE_GUARD extra bits.  The real form's five
+    exponentials dominate: e^{A + b cos t}, e^{i B} and e^{i b sin t} have
+    arguments of parts at most a e + b, and A and B carry e times the errors
+    of e^{cos t} and e^{i sin t}; the inputs' errors enter scaled by the
+    modulus, b-fold through b w."""
+    table_err = 2 + m_count // 2 * (_fx_exp_err(2, bits + _TABLE_GUARD) + 5) / 2**_TABLE_GUARD
+    return math.ceil(
+        1.05 * (
+            3 * _fx_exp_err(a * math.e + b, bits) + 11 * _fx_exp_err(1, bits)
+            + (11 + 2 * b) * table_err + 6
+        )
+    )
+
+
+def _fixed_pass(n: int, a: int, b: int, m_count: int, bits: int, label: str) -> tuple[int, int]:
+    """S in fixed point with bits fractional bits and a bound on its error,
+    both in ulps.
+
+    The node table holds w^m = e^{2 pi i m / M}, m <= M/2, as powers of one
+    e^{2 pi i / M}, built with _TABLE_GUARD extra bits; sin(n t) is the
+    imaginary part of the entry for n m mod M.  At each node the complex form
+    takes two complex exponentials, e^w and e^{z(w)}; the real form takes
+    e^{cos t}, e^{i sin t}, e^{A + b cos t}, e^{i B} and e^{i b sin t}, as in
+    _float_forms.  Summing _fx_exp_err over those calls, with the inputs'
+    errors carried through, bounds either form's error by
+    K max(1, |e^{z(w)}|) ulp with K from _fx_node_err; forms further apart
+    than twice that raise InconsistencyError."""
+    wide = bits + _TABLE_GUARD
+    half = m_count // 2
+    omega_re, omega_im = _fx_exp(0, 2 * _machin_pi(wide) // m_count, wide)
+    table = [(1 << wide, 0)]
+    for _ in range(half):
+        p, q = table[-1]
+        table.append(((p * omega_re - q * omega_im) >> wide, (p * omega_im + q * omega_re) >> wide))
+    table = [(p >> _TABLE_GUARD, q >> _TABLE_GUARD) for p, q in table]
+    node_err = _fx_node_err(a, b, m_count, bits)
+    total = bound = 0
+    for m, (c, s) in enumerate(table):
+        ux, uy = _fx_exp(c, s, bits) if a else (0, 0)
+        complex_form = _fx_exp(ux + b * c, uy + b * s, bits)[1]
+        big_a = big_b = 0
+        if a:
+            ec = _fx_exp(c, 0, bits)[0]
+            cos_s, sin_s = _fx_exp(0, s, bits)
+            big_a, big_b = (ec * cos_s) >> bits, (ec * sin_s) >> bits
+        modulus = _fx_exp(big_a + b * c, 0, bits)[0]
+        cos_b, sin_b = _fx_exp(0, big_b, bits)
+        cos_bs, sin_bs = _fx_exp(0, b * s, bits)
+        real_form = (modulus * ((cos_b * sin_bs + sin_b * cos_bs) >> bits)) >> bits
+        err = node_err * max(1, (modulus >> bits) + 1)
+        if abs(complex_form - real_form) > 2 * err:
+            raise InconsistencyError(
+                f"integrand forms disagree at node {m} of {m_count} for {label}: "
+                f"{complex_form} vs {real_form} at {bits} bits"
+            )
+        k = n * m % m_count
+        sn = table[k][1] if k <= half else -table[m_count - k][1]
+        weight = 1 if m in (0, half) else 2
+        total += weight * ((complex_form * sn) >> bits)
+        bound += weight * err
+    return total, bound
+
+
+def _log_coefficient_estimate(a: int, b: int, n: int) -> float:
+    """The saddle-point estimate e^{phi(rho)} rho^-n / sqrt(2 pi rho (rho phi')')
+    of d_n, as a log, at the rho of _cauchy_radius(a, b, n); -inf when
+    e^{z(w)} is constant."""
+    if not (a or b):
+        return -math.inf
+    rho = _cauchy_radius(a, b, n)
+    ea = math.exp(rho) if a else 0.0
+    return (
+        ea + b * rho - n * math.log(rho)
+        - 0.5 * math.log(2 * math.pi * rho * (ea * (1 + rho) + b))
+    )
+
+
+def _trapezoid(
+    n: int, a: int, b: int, tol: float, factor: int, gamma: float, fx_gamma, label: str
+) -> tuple[ApproxReal, int]:
+    """(factor gamma / M) S, the scaled trapezoid sum, which approximates
+    (factor gamma / 2) d_n, with err <= tol * max(1, |value|).
+
+    The saddle-point estimate of |value|, lowered by a factor 4, sets the
+    aliasing bound's share, half of the tolerance; it steers only the choice
+    of M.  The float pass returns when its bound certifies the tolerance.
+    Otherwise the fixed-point pass runs with the bits that give its rounding
+    bound the other half, from a lower bound on |value| (the float pass's,
+    where its err leaves one, else the estimate), and doubles them while
+    certification fails.  gamma and fx_gamma(bits) give the constant in
+    floats and in fixed point with its error in ulps."""
+    if tol < _MIN_QUAD_TOL:
+        raise DomainError(
+            f"quadrature tolerance must be at least 2^-50, the float result's resolution; got {tol!r}"
+        )
+
+    def target(value: float) -> float:
+        return tol * max(1.0, abs(value))
+
+    # a tolerance above 1 asks for nothing that tol = 1 does not deliver
+    log_tol = math.log(min(tol, 1.0))
+    log_scale = math.log(factor) + math.log(gamma)
+    log_low = log_scale - _LOG2 + _log_coefficient_estimate(a, b, n) - 2 * _LOG2
+    if log_low > _LOG_FLOAT_MAX:
+        raise DomainError(f"the integral at {label} exceeds the float range")
+    m_count, log_alias = _trapezoid_nodes(a, b, n, log_tol + max(0.0, log_low) - log_scale)
+    alias = math.exp(log_scale + log_alias - _LOG2) * (1 + 1e-9)
+    try:
+        total, spread, moduli = _float_pass(n, a, b, m_count, label)
+    except OverflowError:
+        raise DomainError(f"the integrand at {label} exceeds the float range") from None
+    try:
+        scale = factor / m_count * gamma
+    except OverflowError:
+        scale = None  # factor / M past the float range: only fixed point can tell
+    if scale is not None:
+        value = scale * total
+        err = alias + scale * spread + 4 * _EPS * abs(value)
+        if math.isfinite(err) and err <= target(value):
+            return ApproxReal(value, err), m_count
+        if abs(value) > err:
+            log_low = max(log_low, math.log(abs(value) - err))
+
+    log_need = log_tol - _LOG2 + max(0.0, log_low)
+    log_scale -= math.log(m_count)
+    bits = 64
+    while True:
+        node_bits = math.log2(moduli * _fx_node_err(a, b, m_count, bits))
+        need = math.ceil(node_bits + (log_scale - log_need) / _LOG2)
+        if need <= bits:
+            break
+        bits = need
+    for _ in range(_MAX_DOUBLINGS + 1):
+        total, total_err = _fixed_pass(n, a, b, m_count, bits, label)
+        g, g_err = fx_gamma(bits)
+        den = m_count << (2 * bits)
+        exact = Fraction(factor * g * total, den)
+        tail = Fraction(factor * ((abs(g) + g_err) * total_err + abs(total) * g_err), den)
+        result = _to_float(exact, tail + Fraction(alias), f"the integral at {label}")
+        if result.err <= target(result.value):
+            return result, m_count
+        bits *= 2
     raise ConvergenceError(
-        f"Simpson refinement hit the {_MAX_INTERVALS}-interval cap for {label}"
+        f"the trapezoid sum for {label} did not certify tol {tol!r} with {bits // 2} bits"
     )
 
 
@@ -437,11 +780,13 @@ def cesaro_integral(n: int, r: int, tol: float) -> QuadratureResult:
 
         B_{n,r} = (2 n! / (pi e)) Im int_0^pi e^{e^{e^{i t}}} e^{r e^{i t}} sin(n t) dt
 
-    by composite Simpson with node doubling until successive scaled estimates
-    differ by at most tol/2 * max(1, |estimate|).  At every node both
-    integrand forms are evaluated and must agree within 1e-12 * max(1, |f|)
-    (the scale factor keeps the check meaningful where |f| is so large that
-    1e-12 falls below one ulp); disagreement raises InconsistencyError.
+    by the full-period trapezoid rule, value (2 n! / (e M)) S, with a
+    certified err <= tol * max(1, |value|).  At every node both integrand
+    forms are evaluated and must agree within their rounding bound, which
+    scales with the forms' modulus e^{e^{cos t} cos(sin t) + r cos t};
+    disagreement raises InconsistencyError.  M and the fixed-point precision
+    follow from the aliasing and rounding bounds and from estimates of
+    |value|, never from the exact B_{n,r}.  tol must be at least 2^-50.
 
     The representation needs n >= 1: the sin(n theta) factor makes the
     integral vanish identically at n = 0 while B_{0,r} = 1.
@@ -450,45 +795,26 @@ def cesaro_integral(n: int, r: int, tol: float) -> QuadratureResult:
     if n < 1:
         raise DomainError("the integral representation needs n >= 1")
     _check_tol(tol)
-
-    def integrand(theta: float) -> float:
-        complex_form, real_form = cesaro_integrand_forms(theta, n, r)
-        if abs(complex_form - real_form) > 1e-12 * max(1.0, abs(complex_form)):
-            raise InconsistencyError(
-                f"integrand forms disagree at theta={theta!r}: "
-                f"{complex_form!r} vs {real_form!r}"
-            )
-        return complex_form
-
-    scale = 2.0 * math.factorial(n) / (math.pi * math.e)
-    for estimate, diff, intervals in _simpson_refinements(integrand, scale, f"(n={n}, r={r})"):
-        if diff <= 0.5 * tol * max(1.0, abs(estimate)):
-            err = diff + 1e-13 * max(1.0, abs(estimate))
-            return QuadratureResult(ApproxReal(estimate, err), intervals)
+    value, m_count = _trapezoid(
+        n, 1, r, tol, 2 * math.factorial(n), 1 / math.e, _fx_inverse_e, f"(n={n}, r={r})"
+    )
+    return QuadratureResult(value, m_count)
 
 
 def sin_moment(j: int, n: int, tol: float) -> ApproxReal:
     """Im int_0^pi e^{j e^{i t}} sin(n t) dt, i.e.
-    int_0^pi e^{j cos t} sin(j sin t) sin(n t) dt.
+    int_0^pi e^{j cos t} sin(j sin t) sin(n t) dt, by the same trapezoid rule
+    as cesaro_integral, value (pi / M) S, with a certified
+    err <= tol * max(1, |value|).
 
-    Contract: equals (pi/2) j^n / n! within tol (absolute).
+    Contract: equals (pi/2) j^n / n! within err.
     """
     _check_natural(j=j, n=n)
     if n < 1:
         raise DomainError("sin_moment needs n >= 1")
     _check_tol(tol)
-
-    def integrand(theta: float) -> float:
-        return (
-            math.exp(j * math.cos(theta))
-            * math.sin(j * math.sin(theta))
-            * math.sin(n * theta)
-        )
-
-    # scale 1.0 multiplies every estimate exactly
-    for estimate, diff, _ in _simpson_refinements(integrand, 1.0, f"(j={j}, n={n})"):
-        if diff <= 0.5 * tol:
-            return ApproxReal(estimate, diff + 1e-13 * max(1.0, abs(estimate)))
+    value, _ = _trapezoid(n, 0, j, tol, 1, math.pi, _fx_pi, f"(j={j}, n={n})")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ the caller; that keeps the verification plumbing uniform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
 from .algebra import IntPolynomial
@@ -108,24 +110,43 @@ def cross_r_printed(n: int, r: int) -> IntPolynomial:
     return rbell_poly(n, r - 1).poly - (r - 1) * rbell_poly(n - 1, r - 1).poly
 
 
+@lru_cache(maxsize=64)
+def _bell_binomial_row(n: int) -> tuple[int, ...]:
+    """C(n, k) B_k for k = 0..n, with the ordinary Bell numbers B_k each the
+    sum of its r-Stirling row (r = 0).  Sixty-four rows, like the r-Stirling
+    row cache, cover every n the Carlitz checks revisit."""
+    return tuple(math.comb(n, k) * rbell_number(k, 0) for k in range(n + 1))
+
+
+def _rbell_from_bell_numbers(n: int, s: int) -> int:
+    """B_{n,s} = sum_k C(n, k) s^(n-k) B_k, by Horner's rule in s."""
+    acc = 0
+    for c in _bell_binomial_row(n):
+        acc = acc * s + c
+    return acc
+
+
 def carlitz_compose(n: int, m: int, r: int) -> int:
-    """Carlitz's composition sum_{j=0..m} {m+r, j+r}_r B_{n,r+j}.
+    """Carlitz's composition sum_{j=0..m} {m+r, j+r}_r B_{n,r+j}, with each
+    B_{n,r+j} from the binomial sum over the ordinary Bell numbers.
 
     Contract: equals rbell_number(n + m, r).
     """
     _check_natural(n=n, m=m, r=r)
-    return sum(s * rbell_number(n, r + j) for j, s in enumerate(stirling_row(2, m + r, r)))
+    row = stirling_row(2, m + r, r)
+    return sum(s * _rbell_from_bell_numbers(n, r + j) for j, s in enumerate(row))
 
 
 def carlitz_inverse(n: int, m: int, r: int) -> int:
-    """Carlitz's inversion sum_{j=0..m} (-1)^(m-j) [m+r, j+r]_r B_{n+j,r}.
+    """Carlitz's inversion sum_{j=0..m} (-1)^(m-j) [m+r, j+r]_r B_{n+j,r},
+    with each B_{n+j,r} from the binomial sum over the ordinary Bell numbers.
 
     Contract: equals rbell_number(n, r + m).
     """
     _check_natural(n=n, m=m, r=r)
     total = 0
     for j, s in enumerate(stirling_row(1, m + r, r)):
-        term = s * rbell_number(n + j, r)
+        term = s * _rbell_from_bell_numbers(n + j, r)
         total += term if (m - j) % 2 == 0 else -term
     return total
 

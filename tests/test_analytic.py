@@ -10,7 +10,6 @@ import pytest
 
 from rbell import analytic
 from rbell.analytic import (
-    QuadratureResult,
     cesaro_integral,
     cesaro_integrand_forms,
     dobinski_eval,
@@ -23,8 +22,8 @@ from rbell.analytic import (
     real_rootedness_report,
     sin_moment,
 )
-from rbell.bell import rbell_number, rbell_poly
-from rbell.errors import ConvergenceError, DomainError
+from rbell.bell import rbell_number, rbell_poly, rbell_table
+from rbell.errors import DomainError
 
 
 def test_dobinski_examples():
@@ -87,6 +86,12 @@ def test_dobinski_overflow_predicted_before_summing():
     with pytest.raises(DomainError, match="float range: its terms near"):
         dobinski_series_sum(0, 0, 710, 1e-9)
     assert time.perf_counter() - started < 0.5
+
+
+def test_dobinski_indices_past_lgamma_range_are_a_domain_error():
+    # the search for the largest term reaches k ~ 2e * 1e305, where lgamma overflows
+    with pytest.raises(DomainError, match="cannot be summed: its terms run to k="):
+        dobinski_series_sum(1, 0, 10**305, 1e-9)
 
 
 def test_dobinski_long_exact_sum_is_fast_and_encloses():
@@ -336,6 +341,14 @@ def test_hypergeom_overflow_predicted_before_summing():
         hypergeom_1f1(Fraction(1, 3), Fraction(5, 2), 760, 1e-9)
 
 
+def test_hypergeom_indices_past_lgamma_range_fail_fast():
+    # k_min = 4 x: the prediction's lgamma overflows, and summing would not end
+    started = time.perf_counter()
+    with pytest.raises(DomainError, match="cannot be summed: its terms run to k="):
+        hypergeom_1f1(1, 1, 10**306, 1e-9)
+    assert time.perf_counter() - started < 1.0
+
+
 def test_hypergeom_conversion_backstop_when_not_predicted():
     # with a < 0 the prediction is skipped; a sum past the float range still
     # fails at the final conversion
@@ -390,12 +403,14 @@ def test_kummer_residual():
 
 def test_cesaro_integral_examples():
     got = cesaro_integral(2, 2, 1e-8)
-    assert abs(got.value.value - 10) <= 1e-7
-    assert got.nodes_used % 16 == 0 and (got.nodes_used // 16).bit_count() == 1
+    assert got.value.encloses(10)
+    assert got.value.err <= 1e-8 * 10
+    assert got.nodes_used % 2 == 0 and got.nodes_used > 2
     one = cesaro_integral(1, 0, 1e-8)
-    assert abs(one.value.value - 1) <= 1e-7
+    assert one.value.encloses(1)
     big = cesaro_integral(6, 6, 1e-6)
-    assert abs(big.value.value - 163967) <= 1e-6 * 163967 * 2
+    assert big.value.encloses(163967)
+    assert big.value.err <= 1e-6 * 163967
 
 
 def test_cesaro_integral_needs_positive_n():
@@ -403,6 +418,20 @@ def test_cesaro_integral_needs_positive_n():
         cesaro_integral(0, 2, 1e-8)
     with pytest.raises(DomainError):
         cesaro_integral(2, 2, -1.0)
+
+
+def test_quadrature_limits_are_domain_errors():
+    # no float result resolves a relative tolerance below 2^-50
+    with pytest.raises(DomainError, match="2\\^-50"):
+        cesaro_integral(2, 2, 1e-300)
+    with pytest.raises(DomainError, match="2\\^-50"):
+        sin_moment(2, 2, 2.0**-51)
+    assert cesaro_integral(2, 2, 2.0**-50).value.encloses(10)
+    # past the float range: the value (B_250 ~ 1e366), or the integrand's modulus e^{e + r}
+    with pytest.raises(DomainError, match="float range"):
+        cesaro_integral(250, 0, 1e-8)
+    with pytest.raises(DomainError, match="float range"):
+        cesaro_integral(1, 800, 1e-8)
 
 
 def test_cesaro_integrand_forms_agree():
@@ -428,70 +457,66 @@ def test_sin_moment():
         sin_moment(2, 0, 1e-9)
 
 
-def _plain_simpson(f, scale, stop, label):
-    """Composite Simpson on [0, pi] with 16, 32, ... intervals, written out flat:
-    the arithmetic that cesaro_integral and sin_moment must reproduce bit for
-    bit.  scale None leaves the estimates unscaled."""
-    previous = None
-    intervals = 16
-    while intervals <= analytic._MAX_INTERVALS:
-        h = math.pi / intervals
-        total = f(0.0) + f(math.pi)
-        for i in range(1, intervals):
-            total += f(i * h) * (4.0 if i % 2 else 2.0)
-        estimate = total * h / 3.0
-        if scale is not None:
-            estimate = estimate * scale
-        if previous is not None:
-            diff = abs(estimate - previous)
-            if stop(estimate, diff):
-                return estimate, diff + 1e-13 * max(1.0, abs(estimate)), intervals
-        previous = estimate
-        intervals *= 2
-    return f"Simpson refinement hit the {analytic._MAX_INTERVALS}-interval cap for {label}"
+def test_trapezoid_encloses_within_tolerance():
+    # the certified err contains the exact value and meets tol * max(1, |value|),
+    # on both routes: floats up to about n = 24, fixed point past that
+    table = rbell_table(40, 8)
+    for tol in (1e-6, 1e-9, 1e-12):
+        for n, r in itertools.product(range(1, 41, 3), range(0, 9, 2)):
+            got = cesaro_integral(n, r, tol).value
+            assert got.encloses(table[r][n]), (n, r, tol)
+            assert got.err <= tol * max(1.0, abs(got.value)), (n, r, tol)
+        for j, n in itertools.product(range(0, 13, 3), range(1, 30, 4)):
+            got = sin_moment(j, n, tol)
+            # (pi/2) j^n / n! in floats, with a few ulp of its own rounding
+            target = math.pi / 2 * j**n / math.factorial(n)
+            assert abs(got.value - target) <= got.err + 1e-15 * target, (j, n, tol)
+            assert got.err <= tol * max(1.0, abs(got.value)), (j, n, tol)
 
 
-def _quadrature_outcome(fn, *args):
-    try:
-        got = fn(*args)
-    except ConvergenceError as exc:
-        return str(exc)
-    if isinstance(got, QuadratureResult):
-        return got.value.value.hex(), got.value.err.hex(), got.nodes_used
-    return got.value.hex(), got.err.hex(), None
+def test_trapezoid_nodes_used_is_the_rule_size(monkeypatch):
+    # an M-node rule evaluates the even integrand at M/2 + 1 nodes of [0, pi]
+    angles = []
+    forms = analytic._float_forms
+
+    def counting(c, s, a, b):
+        angles.append(abs(math.atan2(s, c)))
+        return forms(c, s, a, b)
+
+    monkeypatch.setattr(analytic, "_float_forms", counting)
+    fixed = []
+    fixed_pass = analytic._fixed_pass
+    monkeypatch.setattr(
+        analytic, "_fixed_pass", lambda *args: fixed.append(args) or fixed_pass(*args)
+    )
+    for n, r in [(2, 2), (8, 4), (14, 9), (28, 1), (40, 6)]:
+        angles.clear()
+        fixed.clear()
+        got = cesaro_integral(n, r, 1e-8)
+        m_count = got.nodes_used
+        assert m_count % 2 == 0 and m_count > n
+        assert len(angles) == m_count // 2 + 1
+        assert angles == pytest.approx([2 * math.pi * m / m_count for m in range(len(angles))])
+        # the float route certifies through n = 24; past that fixed point takes over
+        assert [args[3] for args in fixed] == ([] if n <= 24 else [m_count])
 
 
-def _pin_simpson(tols):
-    for n, r, tol in itertools.product(range(1, 25), range(0, 9), tols):
-        expected = _plain_simpson(
-            lambda t: cesaro_integrand_forms(t, n, r)[0],
-            2.0 * math.factorial(n) / (math.pi * math.e),
-            lambda est, diff: diff <= 0.5 * tol * max(1.0, abs(est)),
-            f"(n={n}, r={r})",
-        )
-        if not isinstance(expected, str):
-            expected = (expected[0].hex(), expected[1].hex(), expected[2])
-        assert _quadrature_outcome(cesaro_integral, n, r, tol) == expected, (n, r, tol)
-    for j, n, tol in itertools.product(range(0, 8), range(1, 12), tols):
-        expected = _plain_simpson(
-            lambda t: math.exp(j * math.cos(t)) * math.sin(j * math.sin(t)) * math.sin(n * t),
-            None,
-            lambda est, diff: diff <= 0.5 * tol,
-            f"(j={j}, n={n})",
-        )
-        if not isinstance(expected, str):
-            expected = (expected[0].hex(), expected[1].hex(), None)
-        assert _quadrature_outcome(sin_moment, j, n, tol) == expected, (j, n, tol)
-
-
-def test_simpson_arithmetic_is_pinned():
-    _pin_simpson((1e-6, 1e-9))
-
-
-def test_simpson_cap_message_is_pinned(monkeypatch):
-    # a tolerance no refinement meets runs every grid point into a small cap
-    monkeypatch.setattr(analytic, "_MAX_INTERVALS", 1 << 7)
-    _pin_simpson((1e-300,))
+def test_fixed_point_exp_within_its_bound():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 300
+    bits = 80
+    rng = random.Random(12)
+    for _ in range(300):
+        part = rng.choice([1.0, math.e, 9.0, 33.0])
+        x, y = (rng.randint(-int(part * 2**bits), int(part * 2**bits)) for _ in range(2))
+        # real, purely imaginary and complex arguments take different loops
+        x, y = rng.choice([(x, 0), (0, y), (x, y)])
+        re, im = analytic._fx_exp(x, y, bits)
+        exact = mpmath.exp(mpmath.mpc(x, y) / 2**bits) * 2**bits
+        bound = analytic._fx_exp_err(part, bits) * max(1.0, float(abs(exact)) / 2**bits)
+        assert abs(mpmath.mpc(re, im) - exact) <= bound, (x, y)
+    pi = analytic._machin_pi(200)
+    assert abs(mpmath.mpf(pi) - mpmath.pi * 2**200) <= 2
 
 
 def test_rootedness_examples():

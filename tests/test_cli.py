@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import rbell.cli
+from rbell.algebra import ApproxReal
 from rbell.analytic import RootednessReport
 from rbell.bell import rbell_table
 from rbell.cli import COMMANDS, _natural, _rational, build_parser, main
@@ -240,6 +241,36 @@ def test_dobinski_overflow_exits_2(capsys):
     assert out == ""
     assert err.startswith("error: ") and "float range" in err
     assert "Traceback" not in err
+
+
+# Argv past a documented limit: each must end in a typed error, not a traceback.
+LIMIT_ARGVS = [
+    # the overflow prediction's lgamma overflows at indices near 2e * 1e305
+    ["dobinski", "-n", "1", "-r", "0", "--tol", "1e-9", "--x", "1" + "0" * 305],
+    # the integrand's modulus e^{e + r} is past the float range
+    ["integral", "-n", "1", "-r", "800", "--tol", "1e-8"],
+    # B_250 is about 1e366
+    ["integral", "-n", "250", "-r", "0", "--tol", "1e-8"],
+    # no float result resolves a relative tolerance below 2^-50
+    ["integral", "-n", "2", "-r", "2", "--tol", "1e-300"],
+]
+
+
+@pytest.mark.parametrize("argv", LIMIT_ARGVS, ids=lambda argv: " ".join(argv)[:40])
+def test_limits_exit_2_without_a_traceback(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_integral_encloses_r_plus_one_at_n_1(capsys):
+    # B_{1,r} = r + 1; from r = 25 the forms' rounding once tripped the in-route check
+    for r in range(31):
+        code, out, _ = run(capsys, "integral", "-n", "1", "-r", str(r), "--tol", "1e-8")
+        assert code == 0, r
+        value = json.loads(out)["value"]
+        assert ApproxReal(value["value"], value["err"]).encloses(r + 1), r
 
 
 def test_large_indices_need_no_recursion(capsys):
