@@ -32,7 +32,6 @@ from .analytic import (
     sin_moment,
 )
 from .bell import (
-    RBellPoly,
     bell_poly,
     carlitz_compose,
     carlitz_inverse,
@@ -77,7 +76,6 @@ __all__ = [
     "MaxIndexReport",
     "PartitionCounts",
     "QuadratureResult",
-    "RBellPoly",
     "RootednessReport",
     "bell_poly",
     "binomial",

@@ -13,10 +13,10 @@ Each numeric scheme is written once:
 - The e^{-x} factors of `dobinski_eval` and `kummer_residual` share one
   error-propagation block (`_times_exp_neg`), which relies on libm's exp
   being within a few ulp.
-- Both series predict an overflow of the float range before summing, from
-  a log-sum-exp over the terms around the largest one, when every term is
-  positive (`_check_log_concave_sum`); otherwise the final conversion finds
-  it.
+- Where every term is positive, both series stop with DomainError as soon
+  as a partial sum passes 2^1024, which the bit lengths of its numerator and
+  denominator show (`_check_partial_sum`); otherwise, and just above the
+  float maximum, the final conversion finds the overflow.
 - `egf_coeffs` runs the exponential recurrence on integer numerators over
   n! q^n, for x = p/q.
 - `cesaro_integral` and `sin_moment` share one full-period trapezoid rule
@@ -68,6 +68,16 @@ def _to_float(total: Fraction, tail: Fraction, what: str) -> ApproxReal:
         raise DomainError(f"{what} exceeds the float range") from None
 
 
+def _check_partial_sum(num: int, den: int, what: str) -> None:
+    """Raise DomainError naming what once num / den > 0, a partial sum of
+    positive terms, is past 2^1024, so that the whole sum is too: since
+    num >= 2^(num.bit_length() - 1) and den < 2^den.bit_length(), bit lengths
+    more than 1024 apart show it.  A sum just above the float maximum is left
+    to _to_float."""
+    if num.bit_length() - den.bit_length() > 1024:
+        raise DomainError(f"{what} exceeds the float range")
+
+
 def _times_exp_neg(s: ApproxReal, x: Fraction) -> tuple[float, Fraction]:
     """e^{-x} s as a float, with an exact bound on its error: the error of s
     scaled by e^{-x}, the slack of libm's exp, and the product's rounding."""
@@ -101,6 +111,8 @@ def dobinski_series_sum(n: int, r: int, x, tol: float) -> ApproxReal:
     With x = p/q, the partial sum through index k is kept as one integer
     numerator over the common denominator q^k k!, so no step pays for a gcd,
     and the stopping test is an exact comparison of cross-multiplied integers.
+    Every term is positive, so a partial sum past 2^1024 raises DomainError
+    at once.
     """
     _check_natural(n=n, r=r)
     tol_f = _check_tol(tol)
@@ -110,7 +122,6 @@ def dobinski_series_sum(n: int, r: int, x, tol: float) -> ApproxReal:
 
     k_min = max(n + r, math.ceil(_TWO_E_UPPER * xq))
     what = f"the Dobinski sum at (n={n}, r={r}, x={xq})"
-    _check_series_fits_float(n, r, xq, k_min - 1, what)
     p, q = xq.numerator, xq.denominator
     tol_num, tol_den = tol_f.numerator, tol_f.denominator
     num, den, p_pow = r**n, 1, 1  # partial sum num / den through k = 0
@@ -124,81 +135,10 @@ def dobinski_series_sum(n: int, r: int, x, tol: float) -> ApproxReal:
         if k + 1 >= k_min and 8 * term * tol_den <= tol_num * max(den, num):
             break
         num += term
+        _check_partial_sum(num, den, what)
         k += 1
 
     return _to_float(Fraction(num, den), Fraction(2 * term, den), what)
-
-
-def _check_series_fits_float(n: int, r: int, xq: Fraction, k_last: int, what: str) -> None:
-    """Raise DomainError before summing when the Dobinski series through index
-    k_last is certain to exceed the float range.  Its terms
-    t_k = (k+r)^n x^k / k! are positive and log t_k is concave in k."""
-    log_x = math.log(xq.numerator) - math.log(xq.denominator)
-
-    def log_term(k: int) -> float:
-        return n * math.log(k + r) + k * log_x - math.lgamma(k + 1)
-
-    def size(k: int) -> float:
-        return n * math.log(k + r) + k * abs(log_x) + math.lgamma(k + 1)
-
-    # k + r >= 1 throughout: t_0 = 0^n is skipped when r = 0
-    first = 1 if r == 0 else 0
-    _check_log_concave_sum(log_term, size, first, max(first, k_last), what)
-
-
-def _check_log_concave_sum(log_term, size, first: int, last: int, what: str) -> None:
-    """Raise DomainError naming what when the sum of the positive terms t_k,
-    k = first..last, is certain to exceed the float range.
-
-    log_term(k) is log t_k in floats, its increments nonincreasing in k, and
-    size(k) bounds the magnitudes of the logs it combines.  A partial sum is
-    at least the sum of any of its terms.  A bisection on the sign of
-    log t_{k+1} - log t_k finds the largest term among first..last, and the
-    terms within a factor e^-40 of it are the consecutive ones around it;
-    their log-sum-exp bounds the log of the sum from below.  Leaving terms
-    out only lowers that bound, so float error in the search cannot make the
-    test unsound.  The final comparison allows a relative slack of 1e-6 on
-    the size of log t_k, far above the error of the log, lgamma and exp calls
-    behind it, so a sum that fits in a float is never rejected.  Indices so
-    large (about 1e305) that log-gamma overflows raise DomainError too: no
-    term-by-term sum reaches them.
-    """
-    lo, hi = first, last
-    try:
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if log_term(mid + 1) > log_term(mid):
-                lo = mid + 1
-            else:
-                hi = mid
-    except OverflowError:
-        # lgamma, or an index converted to a float, overflows past k ~ 1e305
-        raise DomainError(
-            f"{what} cannot be summed: its terms run to k={last}, "
-            "where log-gamma exceeds the float range"
-        ) from None
-    k = lo
-    peak = log_term(k)
-    slack = 1e-6 * (1 + size(k))
-    scaled = [1.0]  # t_j / t_k for the terms j near k
-    # The walk can only change the verdict when t_k fits but the sum through
-    # last, at most (last - first + 1) t_k, might not; in that band the
-    # terms within e^-40 of t_k span a few hundred indices at most.
-    if _LOG_FLOAT_MAX - math.log(last - first + 1) < peak <= _LOG_FLOAT_MAX + slack:
-        for step in (-1, 1):
-            j = k + step
-            while first <= j <= last:
-                gap = log_term(j) - peak
-                if gap < -40:
-                    break
-                scaled.append(math.exp(gap))
-                j += step
-    log_sum = peak + math.log(math.fsum(scaled))
-    if log_sum > _LOG_FLOAT_MAX + slack:
-        raise DomainError(
-            f"{what} exceeds the float range: "
-            f"its terms near k={k} alone sum to about e^{log_sum:.1f}"
-        )
 
 
 def dobinski_eval(n: int, r: int, x, tol: float) -> ApproxReal:
@@ -281,7 +221,10 @@ def hypergeom_1f1(a, b, x, tol: float) -> ApproxReal:
 
     Summation stops once the term ratio is provably <= 1/2 for every later
     index and twice the next term has magnitude below tol/2; err is that
-    geometric tail bound plus the exact representation error.
+    geometric tail bound plus the exact representation error.  When a, b and
+    x are positive, so is every term, and a partial sum past 2^1024 raises
+    DomainError at once; a sum past the float range with any other signs is
+    found by the final conversion.
 
     As in dobinski_series_sum, the partial sum is one integer numerator over
     a running common denominator, which each step multiplies by
@@ -296,8 +239,7 @@ def hypergeom_1f1(a, b, x, tol: float) -> ApproxReal:
     # For k >= k_min: |a+k|/|b+k| <= 2 and |x|/(k+1) <= 1/4, so ratio <= 1/2.
     k_min = max(math.ceil(abs(aq - bq) - bq), math.ceil(4 * abs(xq)), 1)
     what = f"1F1({aq}; {bq}; {xq})"
-    if aq > 0 and bq > 0 and xq > 0:
-        _check_1f1_fits_float(aq, bq, xq, k_min - 1, what)
+    positive = aq > 0 and bq > 0 and xq > 0
     pa, qa = aq.numerator, aq.denominator
     pb, qb = bq.numerator, bq.denominator
     px, qx = xq.numerator, xq.denominator
@@ -314,49 +256,11 @@ def hypergeom_1f1(a, b, x, tol: float) -> ApproxReal:
         if k + 1 >= k_min and 4 * abs(term) * tol_den <= tol_num * abs(den):
             break
         num += term
+        if positive:
+            _check_partial_sum(num, den, what)
         k += 1
 
     return _to_float(Fraction(num, den), Fraction(2 * abs(term), abs(den)), what)
-
-
-def _check_1f1_fits_float(
-    aq: Fraction, bq: Fraction, xq: Fraction, k_last: int, what: str
-) -> None:
-    """Raise DomainError before summing when 1F1(a; b; x) with a, b, x > 0
-    is certain to exceed the float range through index k_last.
-
-    Every term t_k = (a)_k/(b)_k x^k/k! is then positive.  The term ratio
-    x (a+k) / ((b+k)(k+1)) is nonincreasing in k wherever
-    k^2 + 2ak + a(b+1) - b >= 0, so at least from k^2 >= b on, and there the
-    logs of the terms are concave.  Terms below that index are left out of
-    the bound; an a or b that a float cannot carry leaves the whole test to
-    the final conversion, and indices past the float range of log-gamma
-    raise DomainError.
-    """
-    first = math.isqrt(math.ceil(bq)) + 1
-    if first > k_last:
-        return
-    try:
-        af, bf = float(aq), float(bq)
-        base = math.lgamma(bf) - math.lgamma(af)
-    except (OverflowError, ValueError):
-        # a or b past the float range, or so small that it rounds to the
-        # float 0, where lgamma has a pole
-        return
-    log_x = math.log(xq.numerator) - math.log(xq.denominator)
-
-    def log_term(k: int) -> float:
-        return (
-            base + math.lgamma(af + k) - math.lgamma(bf + k) + k * log_x - math.lgamma(k + 1)
-        )
-
-    def size(k: int) -> float:
-        return (
-            abs(base) + abs(math.lgamma(af + k)) + abs(math.lgamma(bf + k))
-            + k * abs(log_x) + math.lgamma(k + 1)
-        )
-
-    _check_log_concave_sum(log_term, size, first, k_last, what)
 
 
 def kummer_residual(a, b, x, tol: float) -> ApproxReal:
@@ -837,7 +741,7 @@ def real_rootedness_report(n: int, r: int) -> RootednessReport:
     _check_natural(n=n, r=r)
     if n == 0:
         raise DomainError("constant polynomial: no root report for n = 0")
-    poly = rbell_poly(n, r).poly
+    poly = rbell_poly(n, r)
     root_at_zero = poly.constant_term == 0
     nonpositive = sturm_root_count(poly, -math.inf, 0)
     return RootednessReport(poly.degree, nonpositive - int(root_at_zero), root_at_zero)

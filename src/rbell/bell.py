@@ -14,7 +14,6 @@ the caller; that keeps the verification plumbing uniform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
@@ -23,27 +22,18 @@ from .errors import DomainError
 from .stirling import _check_natural, binomial, stirling_row
 
 
-@dataclass(frozen=True)
-class RBellPoly:
-    """An r-Bell polynomial tagged with its indices.
+def rbell_poly(n: int, r: int) -> IntPolynomial:
+    """B_{n,r}(x) directly from its r-Stirling coefficients.
 
-    Invariants (asserted by the test suite, not at construction): monic of
-    degree n, constant term r^n, and all coefficients positive for n >= 1
-    except the constant term when r = 0.
+    Invariants (asserted by the test suite): monic of degree n, constant term
+    r^n, and all coefficients positive for n >= 1 except the constant term
+    when r = 0.
     """
-
-    n: int
-    r: int
-    poly: IntPolynomial
-
-
-def rbell_poly(n: int, r: int) -> RBellPoly:
-    """B_{n,r}(x) directly from its r-Stirling coefficients."""
     _check_natural(n=n, r=r)
-    return RBellPoly(n, r, IntPolynomial(stirling_row(2, n + r, r)))
+    return IntPolynomial(stirling_row(2, n + r, r))
 
 
-def rbell_poly_rec(n: int, r: int) -> RBellPoly:
+def rbell_poly_rec(n: int, r: int) -> IntPolynomial:
     """B_{n,r}(x) built solely from the derivative recurrence
 
         B_{n,r}(x) = x (B'_{n-1,r}(x) + B_{n-1,r}(x)) + r B_{n-1,r}(x)
@@ -55,7 +45,7 @@ def rbell_poly_rec(n: int, r: int) -> RBellPoly:
     p = IntPolynomial((1,))
     for _ in range(n):
         p = x * (p.derivative() + p) + r * p
-    return RBellPoly(n, r, p)
+    return p
 
 
 def rbell_number(n: int, r: int) -> int:
@@ -66,7 +56,7 @@ def rbell_number(n: int, r: int) -> int:
 
 def bell_poly(n: int) -> IntPolynomial:
     """Ordinary Bell polynomial B_n(x), the r = 0 case."""
-    return rbell_poly(n, 0).poly
+    return rbell_poly(n, 0)
 
 
 def rbell_from_bell(n: int, r: int) -> IntPolynomial:
@@ -94,7 +84,7 @@ def cross_r_step(n: int, r: int) -> IntPolynomial:
     _check_natural(n=n, r=r)
     if r < 1:
         raise DomainError("cross_r_step needs r >= 1")
-    numerator = rbell_poly(n + 1, r - 1).poly - (r - 1) * rbell_poly(n, r - 1).poly
+    numerator = rbell_poly(n + 1, r - 1) - (r - 1) * rbell_poly(n, r - 1)
     return numerator.divide_by_x()
 
 
@@ -107,7 +97,7 @@ def cross_r_printed(n: int, r: int) -> IntPolynomial:
     _check_natural(n=n, r=r)
     if n < 1 or r < 1:
         raise DomainError("cross_r_printed needs n >= 1 and r >= 1")
-    return rbell_poly(n, r - 1).poly - (r - 1) * rbell_poly(n - 1, r - 1).poly
+    return rbell_poly(n, r - 1) - (r - 1) * rbell_poly(n - 1, r - 1)
 
 
 @lru_cache(maxsize=64)

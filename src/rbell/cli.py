@@ -111,9 +111,9 @@ def _verify(args) -> int:
 
 def _bell(args):
     if args.poly:
-        return list(rbell_poly(args.n, args.r).poly.coeffs)
+        return list(rbell_poly(args.n, args.r).coeffs)
     if args.x is not None:
-        return str(rbell_poly(args.n, args.r).poly(args.x))
+        return str(rbell_poly(args.n, args.r)(args.x))
     return str(rbell_number(args.n, args.r))
 
 

@@ -85,7 +85,7 @@ def cigler_d(n: int, k: int, r: int) -> tuple[IntPolynomial, IntPolynomial]:
         raise DomainError("cigler_d needs n >= 1")
     if k not in (0, 1):
         raise DomainError("cigler_d is stated for k in {0, 1} only")
-    polys = [rbell_poly(m, r).poly for m in range(2 * (n - 1) + k + 1)]
+    polys = [rbell_poly(m, r) for m in range(2 * (n - 1) + k + 1)]
     computed = hankel_det(polys, n, k)
 
     prefactor = math.prod(math.factorial(j) for j in range(n))

@@ -61,7 +61,7 @@ def test_dobinski_grid_error_contract():
     for r in range(0, 5):
         for n in range(0, 10):
             for x in (Fraction(1, 2), 1, 2):
-                exact = rbell_poly(n, r).poly(x)
+                exact = rbell_poly(n, r)(x)
                 got = dobinski_eval(n, r, x, 1e-9)
                 assert got.encloses(exact)
                 assert Fraction(got.err) <= Fraction(1, 10**9) * max(1, exact)
@@ -71,27 +71,44 @@ def test_dobinski_float_range():
     # the sum for n = 218 is about 1.7e307: near the float limit but inside it
     near = dobinski_series_sum(218, 0, 1, 1e-9)
     assert near.value > 1e307
-    # predicted from the largest term, before any summation
-    with pytest.raises(DomainError, match="float range: its term"):
+    # the largest term alone is past the float range
+    with pytest.raises(DomainError, match="exceeds the float range$"):
         dobinski_series_sum(200, 3, 5, 1e-12)
-    # every term fits but the sum does not: predicted from the terms near the largest
-    with pytest.raises(DomainError, match="float range"):
+    # every term fits but the sum does not
+    with pytest.raises(DomainError, match="exceeds the float range$"):
         dobinski_series_sum(219, 0, 1, 1e-9)
 
 
-def test_dobinski_overflow_predicted_before_summing():
-    # every term x^k/k! fits, the sum e^710 does not; predicted before any
-    # summation (the exact sum would reach the conversion backstop in tens of ms)
+def test_dobinski_overflow_raised_while_summing():
+    # every term x^k/k! fits, the sum e^710 does not; the partial sum passes
+    # 2^1024 a few terms past the largest one, long before k_min = 2e * 710
     started = time.perf_counter()
-    with pytest.raises(DomainError, match="float range: its terms near"):
+    with pytest.raises(DomainError, match="exceeds the float range$"):
         dobinski_series_sum(0, 0, 710, 1e-9)
     assert time.perf_counter() - started < 0.5
 
 
-def test_dobinski_indices_past_lgamma_range_are_a_domain_error():
-    # the search for the largest term reaches k ~ 2e * 1e305, where lgamma overflows
-    with pytest.raises(DomainError, match="cannot be summed: its terms run to k="):
+def test_dobinski_at_huge_x_is_a_domain_error():
+    # k_min = 2e * 1e305 terms would never be summed; the second term alone
+    # is past the float range
+    with pytest.raises(DomainError, match="exceeds the float range$"):
         dobinski_series_sum(1, 0, 10**305, 1e-9)
+
+
+# e^x at 2^1023.6 to 2^1023.99
+NEAR_FLOAT_MAX = {
+    Fraction(1419, 2): "value=1.3549863193146328e+308, err=1.950359478583155e+290",
+    Fraction(7097, 10): "value=1.6549840276801892e+308, err=5.801701909104757e+291",
+    Fraction(70977, 100): "value=1.7749839095320576e+308, err=8.786175849726692e+291",
+}
+
+
+def test_series_just_below_the_float_maximum_return():
+    # the partial sums come within a bit of 2^1024 without passing it, so the
+    # overflow check must not fire
+    for x, fields in NEAR_FLOAT_MAX.items():
+        assert repr(dobinski_series_sum(0, 0, x, 1e-9)) == f"ApproxReal({fields})", x
+        assert repr(hypergeom_1f1(1, 1, x, 1e-9)) == f"ApproxReal({fields})", x
 
 
 def test_dobinski_long_exact_sum_is_fast_and_encloses():
@@ -107,8 +124,8 @@ def test_dobinski_long_exact_sum_is_fast_and_encloses():
 
 
 def test_dobinski_conversion_backstop(monkeypatch):
-    # without the prediction, the final float conversion still raises DomainError
-    monkeypatch.setattr(analytic, "_check_series_fits_float", lambda *args: None)
+    # without the partial-sum check, the final float conversion still raises DomainError
+    monkeypatch.setattr(analytic, "_check_partial_sum", lambda *args: None)
     with pytest.raises(DomainError, match="float range"):
         dobinski_series_sum(219, 0, 1, 1e-9)
 
@@ -126,7 +143,7 @@ def test_egf_matches_polynomials():
         for x in (0, Fraction(1, 2), 1, 3):
             cs = egf_coeffs(12, r, x)
             for n, c in enumerate(cs):
-                assert math.factorial(n) * c == rbell_poly(n, r).poly(x)
+                assert math.factorial(n) * c == rbell_poly(n, r)(x)
 
 
 def test_egf_coeffs_of_exp_z():
@@ -146,7 +163,7 @@ def test_egf_matches_polynomials_at_negative_x():
     for r in range(0, 7):
         for x in (-1, Fraction(-1, 2), Fraction(-7, 3)):
             for n, c in enumerate(egf_coeffs(12, r, x)):
-                assert math.factorial(n) * c == rbell_poly(n, r).poly(x)
+                assert math.factorial(n) * c == rbell_poly(n, r)(x)
 
 
 def test_egf_coeffs_match_the_fraction_recurrence():
@@ -329,29 +346,41 @@ def test_hypergeom_past_float_range_fails_fast():
     assert time.perf_counter() - started < 0.5
 
 
-def test_hypergeom_overflow_predicted_before_summing():
-    # a, b, x > 0: every term is positive, so the sum is bounded below from
-    # the terms around its largest one; summing to x = 5000 would take seconds
+def test_hypergeom_overflow_raised_while_summing():
+    # a, b, x > 0: every term is positive, so the sum stops once a partial
+    # sum passes 2^1024; summing to k_min = 4 * 5000 would take seconds
     started = time.perf_counter()
-    message = r"^1F1\(1; 1; 5000\) exceeds the float range: its terms near"
+    message = r"^1F1\(1; 1; 5000\) exceeds the float range$"
     with pytest.raises(DomainError, match=message):
         hypergeom_1f1(1, 1, 5000, 1e-9)
     assert time.perf_counter() - started < 0.1
-    with pytest.raises(DomainError, match="float range: its terms near"):
+    with pytest.raises(DomainError, match="exceeds the float range$"):
         hypergeom_1f1(Fraction(1, 3), Fraction(5, 2), 760, 1e-9)
 
 
-def test_hypergeom_indices_past_lgamma_range_fail_fast():
-    # k_min = 4 x: the prediction's lgamma overflows, and summing would not end
+@pytest.mark.parametrize(
+    "a, x",
+    [
+        # k_min = 4 x; the second term alone is past the float range
+        (1, 10**306),
+        # k_min = a - 2, and a is past the float range; the terms grow by
+        # about a x / k = 1e10 / k, so the partial sums pass 2^1024 within
+        # a few dozen terms
+        (10**400, Fraction(1, 10**390)),
+    ],
+    ids=["x=1e306", "a=1e400"],
+)
+def test_hypergeom_with_huge_arguments_fails_fast(a, x):
+    # summing to k_min would not end
     started = time.perf_counter()
-    with pytest.raises(DomainError, match="cannot be summed: its terms run to k="):
-        hypergeom_1f1(1, 1, 10**306, 1e-9)
+    with pytest.raises(DomainError, match="exceeds the float range$"):
+        hypergeom_1f1(a, 1, x, 1e-9)
     assert time.perf_counter() - started < 1.0
 
 
 def test_hypergeom_conversion_backstop_when_not_predicted():
-    # with a < 0 the prediction is skipped; a sum past the float range still
-    # fails at the final conversion
+    # with a < 0 the partial-sum check is skipped; a sum past the float range
+    # still fails at the final conversion
     with pytest.raises(DomainError, match=r"^1F1\(-1/2; 1; 760\) exceeds the float range$"):
         hypergeom_1f1(Fraction(-1, 2), 1, 760, 1e-9)
 

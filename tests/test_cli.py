@@ -245,7 +245,7 @@ def test_dobinski_overflow_exits_2(capsys):
 
 # Argv past a documented limit: each must end in a typed error, not a traceback.
 LIMIT_ARGVS = [
-    # the overflow prediction's lgamma overflows at indices near 2e * 1e305
+    # x = 1e305: the sum's second term alone is past the float range
     ["dobinski", "-n", "1", "-r", "0", "--tol", "1e-9", "--x", "1" + "0" * 305],
     # the integrand's modulus e^{e + r} is past the float range
     ["integral", "-n", "1", "-r", "800", "--tol", "1e-8"],

@@ -83,7 +83,7 @@ def test_hankel_transform_matches_separate_determinants():
 
 def test_polynomial_hankel_rows():
     # determinants of polynomial-valued Bell sequences stay exact
-    polys = [rbell_poly(m, 2).poly for m in range(5)]
+    polys = [rbell_poly(m, 2) for m in range(5)]
     d2 = hankel_det(polys, 2)
     assert d2 == polys[0] * polys[2] - polys[1] * polys[1]
     assert d2 == X
