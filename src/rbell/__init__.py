@@ -46,7 +46,7 @@ from .bell import (
     whitehead_step,
 )
 from .errors import ConvergenceError, DomainError, InconsistencyError
-from .oracle import PartitionCounts, enumerate_restricted_partitions
+from .oracle import GridCounts, PartitionCounts, enumerate_grid, enumerate_restricted_partitions
 from .stirling import (
     binomial,
     horizontal_check,
@@ -71,6 +71,7 @@ __all__ = [
     "CheckResult",
     "ConvergenceError",
     "DomainError",
+    "GridCounts",
     "InconsistencyError",
     "IntPolynomial",
     "MaxIndexReport",
@@ -90,6 +91,7 @@ __all__ = [
     "dobinski_eval",
     "dobinski_series_sum",
     "egf_coeffs",
+    "enumerate_grid",
     "enumerate_restricted_partitions",
     "falling_factorial_poly",
     "fraction_free_det",

@@ -2,23 +2,38 @@
 first r elements lie in distinct blocks, histogrammed by block count.
 
 Partitions are walked as restricted growth strings (Knuth, TAOCP 4A,
-7.2.1.5): free element i may join any block used so far or open block m+1,
-where m is the largest label so far, with the first r elements pre-pinned to
-blocks 0..r-1.  Every restricted growth string of the first n-1 free
-elements (every (n-1)-prefix) is visited one by one; the last free element
-is counted in bulk, since after a prefix with largest label m it has m+1
-blocks to join (m+1 partitions with m+1 blocks) and one block to open (one
-partition with m+2 blocks).
+7.2.1.5): element i takes a label from 0 to m+1, where m is the largest label
+so far, and the string has m+1 blocks.  A partition keeps its first r
+elements apart exactly when its string starts with the staircase 0, 1, ...,
+r-1.  Call the length of a string's longest staircase start its staircase
+length L.  Point (n, r) counts the strings of length n+r with L >= r, so the
+prefix tree of every point is a subtree of one tree: the strings below the
+staircase of length r.  One walk therefore serves a whole grid of points.
 
-Nothing deeper may be folded.  Memoizing the walk on (i, m), or counting two
-or more trailing elements in closed form, would re-derive the row recurrence
-of the r-Stirling numbers, and the oracle check would then compare that
-recurrence with itself.  No counting shortcut shared with the Stirling
-recurrences is used, so this module stays an independent check on them.
+The walk goes down the staircase.  The staircase of length L has L children
+that repeat a label; they root the subtree of strings whose staircase length
+is exactly L.  That subtree is walked down to T_L, the longest string that
+any requested point with r <= L counts, so the walk is pruned to the union of
+the requested points' trees.  Every prefix shorter than T_L is visited one
+by one and tallied by (length, L, block count).  The strings of length T_L
+are counted in bulk from the visited (T_L - 1)-prefixes: a prefix with j
+blocks has j children that join a block (j blocks) and one that opens one
+(j+1 blocks).  Point (n, r) reads the tallies at length n+r, summed over
+L >= r.  On the oracle suite's default grid, every point with n + r <= 12,
+each nonempty string of length up to 11 is visited once: sum B_l over
+l = 1..11, that is 820,987 prefixes.
+
+Sharing the walk does not re-derive the recurrence of the r-Stirling
+numbers.  Every tally below T_L counts visits, one per prefix, and no tally
+is computed from another.  Only a point's last element is counted in bulk,
+and only from prefixes that were visited.  The walk keeps no memo on (length,
+block count) and counts no two trailing elements in closed form, so this
+module stays an independent check on the Stirling recurrences.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -37,49 +52,102 @@ class PartitionCounts:
     total: int
 
 
+@dataclass(frozen=True)
+class GridCounts:
+    """The counts at every requested point, and the number of nonempty
+    prefixes the one walk visited one by one."""
+
+    counts: dict[tuple[int, int], PartitionCounts]
+    prefixes: int
+
+
 def enumerate_restricted_partitions(n: int, r: int) -> PartitionCounts:
     """Counts of partitions of an (n+r)-set keeping the first r elements apart.
 
     Contract: by_blocks[k+r] = stirling2r(n+r, k+r, r) and total = B_{n,r}.
     Guarded at n + r <= 13 (about 27.6M partitions in the worst case).
-
-    Visits each of the B_{n-1,r} restricted growth strings of the first n-1
-    free elements once; the deepest prefix level is a loop in its parent's
-    frame, not a call.  A prefix with largest label m adds m+1 to counts[m+1]
-    (the last element joins one of its blocks) and 1 to counts[m+2] (it opens
-    one).
+    The walk of enumerate_grid over the one point (n, r).
     """
-    _check_natural(n=n, r=r)
-    if n + r > _MAX_ELEMENTS:
-        raise DomainError(f"enumeration guard: n + r must stay <= {_MAX_ELEMENTS}")
+    return enumerate_grid([(n, r)]).counts[n, r]
 
-    counts = [0] * (n + r + 2)
-    deepest = n - 2  # index of the last prefix element
 
-    def walk(i: int, m: int) -> None:
-        # m is the largest block label used so far; element i may take 0..m+1.
-        if i == deepest:
-            c = counts
-            j, k = m + 1, m + 2
-            for _ in range(j):  # element i joins a block: the prefix keeps m
-                c[j] += j
-                c[k] += 1
-            c[k] += k  # element i opens block m+1
-            c[k + 1] += 1
+def enumerate_grid(points: Iterable[tuple[int, int]]) -> GridCounts:
+    """Counts at every requested (n, r) from one walk of the tree of
+    restricted growth strings; each point is guarded as in
+    enumerate_restricted_partitions."""
+    points = list(points)
+    for n, r in points:
+        _check_natural(n=n, r=r)
+        if n + r > _MAX_ELEMENTS:
+            raise DomainError(f"enumeration guard: n + r must stay <= {_MAX_ELEMENTS}")
+
+    top = max((n + r for n, r in points), default=0)
+    limit = [0] * (top + 1)  # limit[L] = T_L
+    for n, r in points:
+        for stair in range(r, top + 1):
+            limit[stair] = max(limit[stair], n + r)
+
+    # tally[l][L][k]: strings of length l, staircase length L, k blocks;
+    # tally[l][l] holds the staircase of length l alone
+    tally = [[[0] * (size + 2) for _ in range(size + 1)] for size in range(top + 1)]
+    for size in range(top + 1):
+        tally[size][size][size] = 1
+    prefixes = max(top - 1, 0)  # the staircases of length 1 .. top-1
+    for stair in range(1, top):
+        rows = [tally[size][stair] for size in range(stair + 1, limit[stair] + 1)]
+        if rows:
+            _walk(stair, rows)
+            prefixes += sum(sum(row) for row in rows[:-1])  # one count per visit
+
+    counts = {}
+    for n, r in points:
+        size = n + r
+        lo = max(r, 1) if size >= 1 else 0
+        by_blocks = {
+            k: sum(tally[size][stair][k] for stair in range(r, size + 1))
+            for k in range(lo, size + 1)
+        }
+        counts[n, r] = PartitionCounts(n, r, by_blocks, sum(by_blocks.values()))
+    return GridCounts(counts, prefixes)
+
+
+def _walk(stair: int, rows: list[list[int]]) -> None:
+    """Walk the subtree below the staircase of length stair.  rows[d] tallies
+    by block count the strings at depth d below the staircase; the prefixes at
+    depths up to len(rows) - 2 are visited one by one, and the last row is
+    counted in bulk from the row just above it."""
+    last = rows[-1]
+    deepest = len(rows) - 2
+
+    def below(d: int, j: int, opening: bool) -> None:
+        # the children at depth d of a prefix with j blocks: j join one of its
+        # blocks, and one opens a new block unless the prefix is the staircase
+        row = rows[d]
+        if d == deepest:
+            # each iteration is one visited prefix with j blocks: its last
+            # element joins one of j blocks, or opens one more
+            seen = joined = 0
+            for _ in range(j):
+                seen += 1
+                joined += j
+            row[j] += seen
+            last[j] += joined
+            last[j + 1] += seen
+            if opening:
+                k = j + 1
+                row[k] += 1
+                last[k] += k
+                last[k + 1] += 1
             return
-        i += 1
-        for _ in range(m + 1):
-            walk(i, m)
-        walk(i, m + 1)
+        d += 1
+        for _ in range(j):
+            row[j] += 1
+            below(d, j, True)
+        if opening:
+            row[j + 1] += 1
+            below(d, j + 1, True)
 
-    if n == 0:
-        counts[r] = 1
-    elif n == 1:  # the empty prefix, largest label r-1
-        counts[r] += r
-        counts[r + 1] += 1
+    if deepest < 0:  # the staircase's children are the last row
+        last[stair] += stair
     else:
-        walk(0, r - 1)
-
-    lo = max(r, 1) if n + r >= 1 else 0
-    by_blocks = {k: counts[k] for k in range(lo, n + r + 1)}
-    return PartitionCounts(n, r, by_blocks, sum(by_blocks.values()))
+        below(0, stair, False)

@@ -46,7 +46,7 @@ from .bell import (
     whitehead_step,
 )
 from .errors import ConvergenceError, DomainError, InconsistencyError
-from .oracle import enumerate_restricted_partitions
+from .oracle import enumerate_grid
 from .stirling import binomial, horizontal_check, stirling2r_explicit, stirling_row
 from .transforms import (
     binomial_transform,
@@ -506,22 +506,28 @@ def _maximizing_index(nmax: int, rmax: int) -> str | None:
 def _oracle(nmax: int, rmax: int) -> list[CheckResult]:
     """Two checks from one enumeration: the enumerated counts against the
     library, then B_{n,r} increasing in r over the enumerated totals.  Only
-    n + r <= 12 is enumerated; the default grid counts 19,511,157 partitions."""
+    n + r <= 12 is enumerated, by one walk of the restricted growth strings
+    for the whole grid (oracle.enumerate_grid): each point is the subtree
+    below the staircase 0, 1, ..., r-1, and the default grid visits each of
+    the 820,987 nonempty strings of length at most 11 once.  The points are
+    compared in scan order, and both checks stop at the first mismatch."""
+    points = [(n, r) for n, r in _points(min(nmax, 12), min(rmax, 12)) if n + r <= 12]
+    counts = enumerate_grid(points).counts
     totals = {}
     mismatch = None
-    for n, r in _points(nmax, rmax):
-        if n + r > 12 or mismatch is not None:
-            continue
-        counts = enumerate_restricted_partitions(n, r)
-        totals[n, r] = counts.total
-        if counts.total != rbell_number(n, r):
-            mismatch = f"(n={n}, r={r}): enumerated {counts.total} vs {rbell_number(n, r)}"
-            continue
+    for n, r in points:
+        found = counts[n, r]
+        totals[n, r] = found.total
+        if found.total != rbell_number(n, r):
+            mismatch = f"(n={n}, r={r}): enumerated {found.total} vs {rbell_number(n, r)}"
+            break
         row = stirling_row(2, n + r, r)
-        for k, count in counts.by_blocks.items():
+        for k, count in found.by_blocks.items():
             if count != row[k - r]:
                 mismatch = f"(n={n}, r={r}, k={k}): enumerated {count} vs {row[k - r]}"
                 break
+        if mismatch is not None:
+            break
 
     violation = None
     for (n, r), lower in sorted(totals.items(), key=lambda item: item[0][::-1]):

@@ -6,7 +6,12 @@ import pytest
 
 from rbell.bell import rbell_number
 from rbell.errors import DomainError
-from rbell.oracle import PartitionCounts, enumerate_restricted_partitions
+from rbell.oracle import (
+    GridCounts,
+    PartitionCounts,
+    enumerate_grid,
+    enumerate_restricted_partitions,
+)
 from rbell.stirling import stirling2r
 
 
@@ -112,3 +117,63 @@ def test_oracle_monotonicity():
     for n in range(1, 6):
         by_r = [enumerate_restricted_partitions(n, r).total for r in range(0, 6)]
         assert all(a < b for a, b in zip(by_r, by_r[1:]))
+
+
+def _grid(nmax, rmax):
+    """The oracle suite's points, in its scan order."""
+    return [(n, r) for r in range(rmax + 1) for n in range(nmax + 1) if n + r <= 12]
+
+
+def test_grid_walk_matches_explicit_blocks():
+    # one walk for every point with n + r <= 9, against the explicit-blocks
+    # enumerator in natural and shuffled placement order
+    rng = random.Random(1618)
+    points = [(n, r) for r in range(0, 10) for n in range(0, 10 - r)]
+    walk = enumerate_grid(points)
+    assert set(walk.counts) == set(points)
+    for n, r in points:
+        got = walk.counts[n, r]
+        assert (got.n, got.r) == (n, r)
+        nonzero = {k: v for k, v in got.by_blocks.items() if v}
+        order = list(range(1, n + 1))
+        assert nonzero == brute_force_counts(n, r, order), (n, r)
+        rng.shuffle(order)
+        assert nonzero == brute_force_counts(n, r, order), (n, r, order)
+
+
+def test_grid_walk_matches_the_per_point_walks():
+    points = _grid(12, 12)
+    walk = enumerate_grid(points)
+    assert list(walk.counts) == points
+    for n, r in points:
+        assert walk.counts[n, r] == enumerate_restricted_partitions(n, r), (n, r)
+
+
+def test_default_grid_visits_every_short_string_once():
+    # every nonempty restricted growth string of length 1..11, sum B_l
+    prefixes = enumerate_grid(_grid(12, 12)).prefixes
+    assert prefixes == sum(rbell_number(length, 0) for length in range(1, 12)) == 820_987
+
+
+@pytest.mark.parametrize("nmax, rmax, prefixes", [
+    # the staircases of length 1..11, then below the staircase of length L
+    # (L <= 10) its L children: sum L = 55, so 66
+    (2, 12, 66),
+    # every string below length 12, as on the default grid
+    (12, 0, 820_987),
+])
+def test_grid_walk_visits_no_more_than_the_per_point_walks(nmax, rmax, prefixes):
+    points = _grid(nmax, rmax)
+    walk = enumerate_grid(points)
+    assert walk.prefixes == prefixes
+    assert walk.prefixes <= sum(enumerate_grid([point]).prefixes for point in points)
+
+
+def test_grid_walk_edge_cases():
+    assert enumerate_grid([]) == GridCounts({}, 0)
+    # n = 0: the staircase alone, whose shorter prefixes are visited
+    assert enumerate_grid([(0, 5)]) == GridCounts({(0, 5): PartitionCounts(0, 5, {5: 1}, 1)}, 4)
+    with pytest.raises(DomainError):
+        enumerate_grid([(1, 1), (14, 0)])
+    with pytest.raises(DomainError):
+        enumerate_grid([(1, -1)])

@@ -116,6 +116,21 @@ def _raise_once(point, exc):
     return make
 
 
+def _counts_at(point, change):
+    """Patch maker for the oracle's grid walk: call the real walk and pass
+    its counts at point through change."""
+
+    def make(original):
+        def fake(points):
+            walk = original(points)
+            counts = {**walk.counts, point: change(walk.counts[point])}
+            return dataclasses.replace(walk, counts=counts)
+
+        return fake
+
+    return make
+
+
 def _plus(delta):
     return lambda value: value + delta
 
@@ -416,8 +431,8 @@ FAIL_CASES = [
     ),
     pytest.param(
         "oracle", G,
-        {"enumerate_restricted_partitions":
-            _at((2, 1), lambda c: dataclasses.replace(c, total=c.total + 1))},
+        {"enumerate_grid":
+            _counts_at((2, 1), lambda c: dataclasses.replace(c, total=c.total + 1))},
         _fail("oracle-totals", "(n=2, r=1): enumerated 6 vs 5"),
         id="oracle-totals",
     ),
@@ -429,12 +444,19 @@ FAIL_CASES = [
     pytest.param(
         "oracle", G,
         {
-            "enumerate_restricted_partitions":
-                _at((2, 2), lambda c: dataclasses.replace(c, total=1)),
+            "enumerate_grid": _counts_at((2, 2), lambda c: dataclasses.replace(c, total=1)),
             "rbell_number": _at((2, 2), _const(1)),
         },
         _fail("oracle-monotonicity", "(n=2, r=1): 1 < 5"),
         id="oracle-monotonicity",
+    ),
+    pytest.param(
+        # (1, 5) is counted only below the staircase 0, 1, 2, 3, 4
+        "oracle", (2, 6),
+        {"enumerate_grid": _counts_at((1, 5), lambda c: dataclasses.replace(
+            c, by_blocks={**c.by_blocks, 6: c.by_blocks[6] + 1}))},
+        _fail("oracle-totals", "(n=1, r=5, k=6): enumerated 2 vs 1"),
+        id="oracle-totals-below-staircase",
     ),
 ]
 
@@ -456,6 +478,26 @@ def test_check_reports_its_first_counterexample(
 def test_every_check_has_a_fail_case():
     names = {case.values[3].name for case in FAIL_CASES}
     assert names == {check.name for check in run_suite("all", 2, 1)}
+
+
+def test_oracle_monotonicity_sees_only_totals_before_the_first_mismatch(monkeypatch):
+    # the count mismatch at (3, 1) ends the scan, so the total corrupted at
+    # (2, 2), later in scan order, never reaches the monotonicity check
+    patches = {
+        "stirling_row": _at((2, 4, 1), _entry(1, _plus(1))),
+        "enumerate_grid": _counts_at((2, 2), lambda c: dataclasses.replace(c, total=1)),
+        "rbell_number": _at((2, 2), _const(1)),
+    }
+    results = _run_patched(monkeypatch, patches, lambda: run_suite("oracle", *G))
+    assert results == [
+        _fail("oracle-totals", "(n=3, r=1, k=2): enumerated 7 vs 8"),
+        CheckResult("oracle-monotonicity", "PASS"),
+    ]
+
+
+def test_oracle_grid_past_its_clamp_costs_what_the_clamp_costs():
+    # no point with n + r > 12 is enumerated, so none is scanned either
+    assert run_suite("oracle", 10**9, 10**9) == run_suite("oracle", 12, 12)
 
 
 # Two checks scan less than the grid asks: cigler n <= 6 and layman-hankel
