@@ -53,9 +53,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     @property
     def leading_coefficient(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
@@ -63,10 +60,6 @@ class IntPolynomial:
     @property
     def constant_term(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
-
-    def coefficient(self, k: int) -> int:
-        """Coefficient of x^k, 0 beyond the degree."""
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntPolynomial):
@@ -183,14 +176,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def divide_by_x(self) -> "IntPolynomial":
-        """Exact division by x; a nonzero constant term is an identity failure."""
-        if self.constant_term != 0:
-            raise InconsistencyError(
-                f"polynomial {self.coeffs} has nonzero constant term, not divisible by x"
-            )
-        return IntPolynomial(self.coeffs[1:])
-
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)!r})"
 
@@ -271,44 +256,18 @@ def fraction_free_det(rows: Sequence[Sequence[int | IntPolynomial]]):
     should a remainder ever appear.  A matrix with any IntPolynomial entry is
     computed over Z[x] and its determinant is an IntPolynomial.
     """
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
-        raise DomainError("determinant requires a nonempty square matrix")
     if any(isinstance(e, IntPolynomial) for row in rows for e in row):
-        return _det_bareiss([[_as_poly(e) for e in row] for row in rows])
-    return _det_bareiss([list(row) for row in rows])
-
-
-def _det_bareiss(m: list[list]):
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return m[k][k]  # the zero of the matrix's ring
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                # Bareiss: the division by the previous pivot is always exact.
-                row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+        m = [[_as_poly(e) for e in row] for row in rows]
+    else:
+        m = [list(row) for row in rows]
+    diagonal, swaps = _bareiss(m)
+    return -diagonal[-1] if swaps % 2 else diagonal[-1]
 
 
 def leading_principal_minors(rows: Sequence[Sequence[int]]) -> list[int]:
     """Determinants of the leading 1x1, 2x2, ..., nxn submatrices of a square
-    integer matrix, from one Bareiss elimination without pivoting: after k
-    elimination steps the diagonal entry k is the leading (k+1)x(k+1) minor.
+    integer matrix, from one Bareiss elimination: while no row has been
+    swapped, the diagonal entry met at step k is the leading (k+1)x(k+1) minor.
 
     Elimination cannot pass a zero minor without pivoting, so a zero before
     the last one raises InconsistencyError; callers use this on matrices
@@ -316,25 +275,49 @@ def leading_principal_minors(rows: Sequence[Sequence[int]]) -> list[int]:
     positive measure.
     """
     m = [list(row) for row in rows]
+    minors, swaps = _bareiss(m)
+    if swaps or len(minors) < len(m):
+        k = minors.index(0) + 1
+        raise InconsistencyError(f"leading {k}x{k} minor is zero; cannot eliminate")
+    return minors
+
+
+def _bareiss(m: list[list]) -> tuple[list, int]:
+    """Bareiss elimination of the square matrix m, in place.
+
+    Returns the diagonal entry met at each step, before any swap, and the
+    number of row swaps.  A zero pivot's row is swapped with the first row
+    below it that is nonzero in the pivot column; a column with no such row
+    ends the elimination, with that zero, the ring's zero, as the last
+    entry.  Otherwise the last entry is the determinant times (-1)^swaps.
+    """
     n = len(m)
     if n == 0 or any(len(row) != n for row in m):
-        raise DomainError("leading minors require a nonempty square matrix")
-    minors = []
+        raise DomainError("determinants require a nonempty square matrix")
+    diagonal = []
+    swaps = 0
     prev = 1
     for k in range(n - 1):
+        diagonal.append(m[k][k])
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    swaps += 1
+                    break
+            else:
+                return diagonal, swaps
         pivot = m[k][k]
-        if pivot == 0:
-            raise InconsistencyError(f"leading {k + 1}x{k + 1} minor is zero; cannot eliminate")
-        minors.append(pivot)
         row_k = m[k]
         for i in range(k + 1, n):
             row_i = m[i]
             head = row_i[k]
             for j in range(k + 1, n):
+                # Bareiss: the division by the previous pivot is always exact.
                 row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
         prev = pivot
-    minors.append(m[n - 1][n - 1])
-    return minors
+    diagonal.append(m[n - 1][n - 1])
+    return diagonal, swaps
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +361,7 @@ def _remainder_sequence(p: IntPolynomial) -> list[IntPolynomial]:
     prs = [_primitive(p), _primitive(p.derivative())]
     while prs[-1].degree > 0:
         rem = _neg_pseudo_remainder(prs[-2], prs[-1])
-        if rem.is_zero():
+        if not rem:
             break
         prs.append(_primitive(rem))
     return prs if prs[-1] else prs[:-1]
@@ -412,12 +395,12 @@ def sturm_root_count(p: IntPolynomial, lo, hi) -> int:
     count once, also at an endpoint.  Signs at a finite endpoint num/den are
     those of den^d times each element's value, computed in integers.
     """
-    if p.is_zero():
+    if not p:
         raise DomainError("root counting needs a nonzero polynomial")
     for e in (lo, hi):
         if isinstance(e, float) and math.isfinite(e):
             raise DomainError("finite endpoints must be exact (int or Fraction)")
-    if not _lt(lo, hi):
+    if not lo < hi:
         raise DomainError(f"empty interval ({lo}, {hi}]")
     if p.degree == 0:
         return 0
@@ -427,12 +410,3 @@ def sturm_root_count(p: IntPolynomial, lo, hi) -> int:
         chain = [e // gcd for e in chain]
     return _variations(chain, lo) - _variations(chain, hi)
 
-
-def _lt(a, b) -> bool:
-    if a == -math.inf:
-        return b != -math.inf
-    if b == math.inf:
-        return a != math.inf
-    if a == math.inf or b == -math.inf:
-        return False
-    return Fraction(a) < Fraction(b)

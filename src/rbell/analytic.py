@@ -195,15 +195,15 @@ def ogf_coefficient_pair(m: int, r: int, z) -> tuple[Fraction, Fraction]:
     zq = Fraction(z)
     if zq == 0:
         raise DomainError("z = 0 is outside the Pochhammer form's domain")
-    for j in range(r, m + r + 1):
-        if j * zq == 1:
-            raise DomainError(f"z = 1/{j} is a pole of the generating function")
 
     # with z = p/q: lhs = p^m q / prod_j (q - j p), in integers
     p, q = zq.numerator, zq.denominator
     denom = 1
     for j in range(r, m + r + 1):
-        denom *= q - j * p
+        factor = q - j * p
+        if not factor:
+            raise DomainError(f"z = 1/{j} is a pole of the generating function")
+        denom *= factor
     lhs = Fraction(p**m * q, denom)
 
     poch = pochhammer((r * zq + zq - 1) / zq, m)
@@ -236,13 +236,19 @@ def hypergeom_1f1(a, b, x, tol: float) -> ApproxReal:
     if bq <= 0 and bq.denominator == 1:
         raise DomainError("1F1 is undefined for b a nonpositive integer")
 
-    # For k >= k_min: |a+k|/|b+k| <= 2 and |x|/(k+1) <= 1/4, so ratio <= 1/2.
-    k_min = max(math.ceil(abs(aq - bq) - bq), math.ceil(4 * abs(xq)), 1)
     what = f"1F1({aq}; {bq}; {xq})"
     positive = aq > 0 and bq > 0 and xq > 0
     pa, qa = aq.numerator, aq.denominator
     pb, qb = bq.numerator, bq.denominator
     px, qx = xq.numerator, xq.denominator
+    # For k >= k_min the term ratio (a+k) x / ((b+k)(k+1)) is at most 1/2:
+    # either |a+k|/|b+k| <= 2 and |x|/(k+1) <= 1/4, or k >= k_s, from where
+    # (a+k)/(b+k) is monotone and in [0, R], R = max(1, (a+k_s)/(b+k_s)),
+    # and k+1 >= 2R|x|.  a_s and b_s are qa qb (a+k_s) and qa qb (b+k_s).
+    k_s = max(0, -(pa // qa), -pb // qb + 1)
+    a_s, b_s = (pa + k_s * qa) * qb, (pb + k_s * qb) * qa
+    k_ratio = -(-2 * abs(px) * max(a_s, b_s) // (b_s * qx))
+    k_min = max(min(math.ceil(abs(aq - bq) - bq), max(k_s, k_ratio)), math.ceil(4 * abs(xq)), 1)
     tol_num, tol_den = tol_f.numerator, tol_f.denominator
     num, term, den = 1, 1, 1  # partial sum num / den and term t_k = term / den
     k = 0

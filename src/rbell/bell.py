@@ -85,7 +85,7 @@ def cross_r_step(n: int, r: int) -> IntPolynomial:
     if r < 1:
         raise DomainError("cross_r_step needs r >= 1")
     numerator = rbell_poly(n + 1, r - 1) - (r - 1) * rbell_poly(n, r - 1)
-    return numerator.divide_by_x()
+    return numerator // IntPolynomial((0, 1))
 
 
 def cross_r_printed(n: int, r: int) -> IntPolynomial:

@@ -24,7 +24,6 @@ domain error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
@@ -88,9 +87,9 @@ def _table(args) -> int:
         return _emit(args, rows)
     header = [str(n) for n in range(args.nmax + 1)]
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["r/n"] + header)
-        writer.writerows([str(r)] + row for r, row in enumerate(rows))
+        print(",".join(["r/n"] + header))
+        for r, row in enumerate(rows):
+            print(",".join([str(r)] + row))
         return 0
     cells = [["r\\n"] + header] + [[str(r)] + row for r, row in enumerate(rows)]
     widths = [max(map(len, column)) for column in zip(*cells)]

@@ -192,7 +192,7 @@ def _bell_addition(nmax: int, rmax: None) -> str | None:
 def _horizontal(nmax: int, rmax: int) -> str | None:
     for n, r in _points(nmax, rmax):
         residual = horizontal_check(n, r)
-        if not residual.is_zero():
+        if residual:
             return f"(n={n}, r={r}): residual {residual!r}"
     return None
 

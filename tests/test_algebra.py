@@ -25,7 +25,6 @@ def test_polynomial_canonical_form():
     zero = IntPolynomial([0, 0])
     assert zero.coeffs == ()
     assert zero.degree == -1
-    assert zero.is_zero()
     assert not zero
     assert IntPolynomial([3])
 
@@ -81,9 +80,10 @@ def test_polynomial_evaluation_and_calculus():
     assert p(1) == 10
     assert p(Fraction(1, 2)) == Fraction(27, 4)
     assert p.derivative() == IntPolynomial([5, 2])
-    assert IntPolynomial([0, 4, 5, 1]).divide_by_x() == p
+    x = IntPolynomial([0, 1])
+    assert IntPolynomial([0, 4, 5, 1]) // x == p
     with pytest.raises(InconsistencyError):
-        p.divide_by_x()
+        p // x
 
 
 def _horner_reference(coeffs, x):
@@ -118,9 +118,8 @@ def test_polynomial_accessors():
     p = IntPolynomial([4, 5, 1])
     assert p.constant_term == 4
     assert p.leading_coefficient == 1
-    assert p.coefficient(1) == 5
-    assert p.coefficient(9) == 0
-    assert p.coefficient(-1) == 0
+    assert IntPolynomial().constant_term == 0
+    assert IntPolynomial().leading_coefficient == 0
 
 
 def test_polynomial_random_ring_axioms():
@@ -260,7 +259,7 @@ def test_determinant_polynomial_against_cofactor_expansion():
         assert isinstance(det, IntPolynomial)
         assert det == _cofactor_det(m), m
         if trial % 3 == 1 and n > 1:
-            assert det.is_zero()
+            assert not det
 
 
 def test_polynomial_exact_division():
@@ -287,10 +286,18 @@ def test_leading_principal_minors():
     assert leading_principal_minors([[2]]) == [2]
     assert leading_principal_minors([[1, 3], [3, 10]]) == [1, 1]
     assert leading_principal_minors([[1, 2], [2, 4]]) == [1, 0]  # a zero last minor
-    with pytest.raises(InconsistencyError):
+    with pytest.raises(InconsistencyError, match="leading 1x1 minor"):
         leading_principal_minors([[0, 1], [1, 0]])
+    # a zero 2x2 minor met by a row swap, and by a column with no nonzero entry
+    swap, zero_column = [[1, 1, 0], [1, 1, 1], [0, 1, 1]], [[1, 2, 3], [2, 4, 6], [3, 6, 9]]
+    for m, det in ((swap, -1), (zero_column, 0)):
+        with pytest.raises(InconsistencyError, match="leading 2x2 minor"):
+            leading_principal_minors(m)
+        assert fraction_free_det(m) == det
     with pytest.raises(DomainError):
         leading_principal_minors([[1, 2], [3]])
+    with pytest.raises(DomainError):
+        leading_principal_minors([])
     rng = random.Random(4417)
     for _ in range(40):
         n = rng.randrange(1, 7)
@@ -326,6 +333,15 @@ def test_sturm_validation():
         sturm_root_count(p, 2, 1)
     with pytest.raises(DomainError):
         sturm_root_count(p, 0.5, 1)
+    for lo, hi in ((math.inf, math.inf), (-math.inf, -math.inf), (math.inf, 0),
+                   (Fraction(1, 2), Fraction(1, 3))):
+        with pytest.raises(DomainError):
+            sturm_root_count(p, lo, hi)
+    # endpoints past the float range: the roots of x^2 + 5x + 4 are -4 and -1
+    q = IntPolynomial([4, 5, 1])
+    assert sturm_root_count(q, Fraction(10**400, 3), math.inf) == 0
+    assert sturm_root_count(q, -math.inf, -10**400) == 0
+    assert sturm_root_count(q, -math.inf, Fraction(-1, 10**400)) == 2
 
 
 def test_sturm_random_known_roots():

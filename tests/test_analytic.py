@@ -363,9 +363,8 @@ def test_hypergeom_overflow_raised_while_summing():
     [
         # k_min = 4 x; the second term alone is past the float range
         (1, 10**306),
-        # k_min = a - 2, and a is past the float range; the terms grow by
-        # about a x / k = 1e10 / k, so the partial sums pass 2^1024 within
-        # a few dozen terms
+        # k_min = 2 a x = 2e10; the terms grow by about a x / k = 1e10 / k,
+        # so the partial sums pass 2^1024 within a few dozen terms
         (10**400, Fraction(1, 10**390)),
     ],
     ids=["x=1e306", "a=1e400"],
@@ -376,6 +375,15 @@ def test_hypergeom_with_huge_arguments_fails_fast(a, x):
     with pytest.raises(DomainError, match="exceeds the float range$"):
         hypergeom_1f1(a, 1, x, 1e-9)
     assert time.perf_counter() - started < 1.0
+
+
+def test_hypergeom_with_huge_a_and_tiny_x_stops_at_once():
+    # the terms shrink from the first on, by about a x / k^2 = 1e-400 / k^2,
+    # so the sum may stop from k = 1 on, not only past |a - b| - b = 1e400
+    started = time.perf_counter()
+    result = hypergeom_1f1(10**400, 1, Fraction(1, 10**800), 1e-9)
+    assert time.perf_counter() - started < 1.0
+    assert result.encloses(1)
 
 
 def test_hypergeom_conversion_backstop_when_not_predicted():

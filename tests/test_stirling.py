@@ -119,7 +119,7 @@ def test_horizontal_check_is_zero():
     assert horizontal_check(3, 1) == IntPolynomial()
     for r in (*range(0, 9), 16):
         for n in range(0, 41):
-            assert horizontal_check(n, r).is_zero(), (n, r)
+            assert not horizontal_check(n, r), (n, r)
 
 
 def test_horizontal_check_sees_a_perturbed_row_entry(monkeypatch):
