@@ -10,9 +10,8 @@ participates in arithmetic; it only reports results of the numeric routines in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import DomainError, InconsistencyError
 
@@ -198,19 +197,31 @@ def _as_poly(v) -> "IntPolynomial":
     return NotImplemented
 
 
-@dataclass(frozen=True)
-class ApproxReal:
-    """A float paired with an absolute error bound.
-
-    Contract: the true mathematical value lies in [value - err, value + err].
-    """
-
+class _Approx(NamedTuple):
     value: float
     err: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value) or not math.isfinite(self.err) or self.err < 0:
+
+class ApproxReal(_Approx):
+    """A float paired with an absolute error bound.
+
+    Contract: the true mathematical value lies in [value - err, value + err].
+    Every construction, ``_replace`` included, checks that value and err are
+    finite and err >= 0; the check lives in a subclass because
+    ``typing.NamedTuple`` forbids ``__new__`` in its body.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value: float, err: float) -> "ApproxReal":
+        self = super().__new__(cls, value, err)
+        if not math.isfinite(value) or not math.isfinite(err) or err < 0:
             raise DomainError(f"ApproxReal needs finite value and err >= 0, got {self}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> "ApproxReal":
+        return cls(*iterable)
 
     def encloses(self, exact: Scalar) -> bool:
         """Exact-rational membership test of ``exact`` in the certified interval."""
@@ -254,12 +265,13 @@ def fraction_free_det(rows: Sequence[Sequence[int | IntPolynomial]]):
     previous pivot is exact (Bareiss, Math. Comp. 1968); over Z[x] it is the
     exact quotient ``//`` of IntPolynomial, which raises InconsistencyError
     should a remainder ever appear.  A matrix with any IntPolynomial entry is
-    computed over Z[x] and its determinant is an IntPolynomial.
+    computed over Z[x] and its determinant is an IntPolynomial.  Any other
+    entry, a Fraction or a float say, raises DomainError: ``//`` would floor
+    its quotients.
     """
-    if any(isinstance(e, IntPolynomial) for row in rows for e in row):
-        m = [[_as_poly(e) for e in row] for row in rows]
-    else:
-        m = [list(row) for row in rows]
+    m = _matrix(rows)
+    if any(isinstance(e, IntPolynomial) for row in m for e in row):
+        m = [[_as_poly(e) for e in row] for row in m]
     diagonal, swaps = _bareiss(m)
     return -diagonal[-1] if swaps % 2 else diagonal[-1]
 
@@ -272,14 +284,28 @@ def leading_principal_minors(rows: Sequence[Sequence[int]]) -> list[int]:
     Elimination cannot pass a zero minor without pivoting, so a zero before
     the last one raises InconsistencyError; callers use this on matrices
     whose minors are known to be positive, such as moment matrices of a
-    positive measure.
+    positive measure.  Entries are checked as in fraction_free_det.
     """
-    m = [list(row) for row in rows]
+    m = _matrix(rows)
     minors, swaps = _bareiss(m)
     if swaps or len(minors) < len(m):
         k = minors.index(0) + 1
         raise InconsistencyError(f"leading {k}x{k} minor is zero; cannot eliminate")
     return minors
+
+
+def _matrix(rows: Sequence[Sequence]) -> list[list]:
+    """A copy of rows, a nonempty square matrix whose entries are ints (not
+    bools) or IntPolynomials, the rings where Bareiss divides exactly."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    if n == 0 or any(len(row) != n for row in m):
+        raise DomainError("determinants require a nonempty square matrix")
+    for row in m:
+        for e in row:
+            if isinstance(e, bool) or not isinstance(e, (int, IntPolynomial)):
+                raise DomainError(f"determinant entries must be int or IntPolynomial, got {e!r}")
+    return m
 
 
 def _bareiss(m: list[list]) -> tuple[list, int]:
@@ -292,8 +318,6 @@ def _bareiss(m: list[list]) -> tuple[list, int]:
     entry.  Otherwise the last entry is the determinant times (-1)^swaps.
     """
     n = len(m)
-    if n == 0 or any(len(row) != n for row in m):
-        raise DomainError("determinants require a nonempty square matrix")
     diagonal = []
     swaps = 0
     prev = 1

@@ -16,7 +16,8 @@ Each numeric scheme is written once:
 - Where every term is positive, both series stop with DomainError as soon
   as a partial sum passes 2^1024, which the bit lengths of its numerator and
   denominator show (`_check_partial_sum`); otherwise, and just above the
-  float maximum, the final conversion finds the overflow.
+  float maximum, the final conversion finds the overflow.  Nothing cuts a
+  1F1 sum with other signs short, so it takes |x| <= 1000 only.
 - `egf_coeffs` runs the exponential recurrence on integer numerators over
   n! q^n, for x = p/q.
 - `cesaro_integral` and `sin_moment` share one full-period trapezoid rule
@@ -31,7 +32,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -215,6 +215,12 @@ def ogf_coefficient_pair(m: int, r: int, z) -> tuple[Fraction, Fraction]:
 # confluent hypergeometric series
 
 
+# the largest |x| hypergeom_1f1 sums unless a, b and x are all positive:
+# 1F1(1; 1; x) takes about 0.05 s at x = -1000 and 2.3 s at x = -5000
+# (Python 3.11, 2 vCPUs)
+_MAX_ABS_X = 1000
+
+
 def hypergeom_1f1(a, b, x, tol: float) -> ApproxReal:
     """Kummer's function 1F1(a; b; x) = sum_k (a)_k/(b)_k x^k/k!, summed
     exactly with the term recurrence.
@@ -224,7 +230,9 @@ def hypergeom_1f1(a, b, x, tol: float) -> ApproxReal:
     geometric tail bound plus the exact representation error.  When a, b and
     x are positive, so is every term, and a partial sum past 2^1024 raises
     DomainError at once; a sum past the float range with any other signs is
-    found by the final conversion.
+    found by the final conversion.  Nothing cuts such a sum short, and it
+    runs to at least 4|x| terms, so there |x| above _MAX_ABS_X raises
+    DomainError before summing.
 
     As in dobinski_series_sum, the partial sum is one integer numerator over
     a running common denominator, which each step multiplies by
@@ -238,6 +246,8 @@ def hypergeom_1f1(a, b, x, tol: float) -> ApproxReal:
 
     what = f"1F1({aq}; {bq}; {xq})"
     positive = aq > 0 and bq > 0 and xq > 0
+    if not positive and abs(xq) > _MAX_ABS_X:
+        raise DomainError(f"{what} needs |x| <= {_MAX_ABS_X} unless a, b and x are all positive")
     pa, qa = aq.numerator, aq.denominator
     pb, qb = bq.numerator, bq.denominator
     px, qx = xq.numerator, xq.denominator
@@ -301,8 +311,7 @@ def kummer_residual(a, b, x, tol: float) -> ApproxReal:
 # Modern Computer Arithmetic, ch. 4).
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """A quadrature value with a certified err, and the number M of nodes of
     the full-period trapezoid rule behind it.
 
@@ -753,8 +762,7 @@ def real_rootedness_report(n: int, r: int) -> RootednessReport:
     return RootednessReport(poly.degree, nonpositive - int(root_at_zero), root_at_zero)
 
 
-@dataclass(frozen=True)
-class MaxIndexReport:
+class MaxIndexReport(NamedTuple):
     """Maximizers of k -> {n+r, k}_r over the Broder range [r, n+r], with the
     ratio estimate B_{n+1,r}/B_{n,r} - (r+1) they should track.
 

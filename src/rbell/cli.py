@@ -230,7 +230,13 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     command = args.spec
+    # Exact values may pass the 4,300 digits that str(int) allows by default
+    # (Python 3.10.7 on); the limit is lifted while the command runs only,
+    # so argv is parsed under it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
+        if limit:
+            sys.set_int_max_str_digits(0)
         return command.run(args) if command.run else _emit(args, command.value(args))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -238,3 +244,6 @@ def main(argv=None) -> int:
     except (InconsistencyError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)

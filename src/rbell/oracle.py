@@ -34,7 +34,7 @@ module stays an independent check on the Stirling recurrences.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .stirling import _check_natural
@@ -42,8 +42,7 @@ from .stirling import _check_natural
 _MAX_ELEMENTS = 13
 
 
-@dataclass(frozen=True)
-class PartitionCounts:
+class PartitionCounts(NamedTuple):
     """Histogram of restricted partitions by total block count."""
 
     n: int
@@ -52,8 +51,7 @@ class PartitionCounts:
     total: int
 
 
-@dataclass(frozen=True)
-class GridCounts:
+class GridCounts(NamedTuple):
     """The counts at every requested point, and the number of nonempty
     prefixes the one walk visited one by one."""
 

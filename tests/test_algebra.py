@@ -152,6 +152,16 @@ def test_approx_real_contract():
         ApproxReal(0.0, math.nan)
 
 
+def test_approx_real_checks_every_construction():
+    a = ApproxReal(value=1.5, err=0.25)
+    assert a._replace(err=0.5) == ApproxReal(1.5, 0.5)
+    message = r"^ApproxReal needs finite value and err >= 0, got ApproxReal\(value=1.5, err=-1.0\)$"
+    with pytest.raises(DomainError, match=message):
+        a._replace(err=-1.0)
+    with pytest.raises(DomainError, match=message):
+        ApproxReal._make([1.5, -1.0])
+
+
 def test_pochhammer_values():
     assert pochhammer(5, 0) == 1
     assert pochhammer(1, 6) == 720
@@ -298,6 +308,23 @@ def test_leading_principal_minors():
         leading_principal_minors([[1, 2], [3]])
     with pytest.raises(DomainError):
         leading_principal_minors([])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # the determinant is -1/2, but Bareiss's // would floor it to -1
+        [[Fraction(1, 2), 1], [1, 1]],
+        [[0.5, 1], [1, 1]],
+        [[Fraction(1, 2), IntPolynomial([0, 1])], [1, 1]],
+        [[True, 1], [1, 1]],
+    ],
+    ids=["fraction", "float", "fraction-and-polynomial", "bool"],
+)
+def test_determinants_reject_entries_outside_z_and_z_x(rows):
+    for determinant in (fraction_free_det, leading_principal_minors):
+        with pytest.raises(DomainError, match="must be int or IntPolynomial"):
+            determinant(rows)
     rng = random.Random(4417)
     for _ in range(40):
         n = rng.randrange(1, 7)

@@ -386,6 +386,17 @@ def test_hypergeom_with_huge_a_and_tiny_x_stops_at_once():
     assert result.encloses(1)
 
 
+def test_hypergeom_bounds_x_where_no_partial_sum_check_acts():
+    # unless a, b and x are all positive the sum runs to 4|x| terms; at
+    # x = -5000 that took seconds
+    started = time.perf_counter()
+    for a, b, x in [(1, 1, -5000), (Fraction(-1, 2), 1, 1001), (1, Fraction(-1, 2), 1001)]:
+        with pytest.raises(DomainError, match=r"needs \|x\| <= 1000 unless a, b and x are all positive$"):
+            hypergeom_1f1(a, b, x, 1e-9)
+    assert time.perf_counter() - started < 0.1
+    assert hypergeom_1f1(1, 1, -1000, 1e-9).encloses(0)  # e^-1000, below the smallest float
+
+
 def test_hypergeom_conversion_backstop_when_not_predicted():
     # with a < 0 the partial-sum check is skipped; a sum past the float range
     # still fails at the final conversion

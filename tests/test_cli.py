@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -292,6 +295,32 @@ def test_large_indices_need_no_recursion(capsys):
     expected = math.factorial(1199) * (h1 * h1 - h2) / 2
     assert expected.denominator == 1
     assert json.loads(out)["value"] == str(expected.numerator)
+
+
+def test_values_past_the_str_digit_limit_print_in_full(capsys):
+    # S(14300, 2) = 2^14299 - 1 has 4,305 digits, past the 4,300 that str(int)
+    # allows by default; main lifts that limit only while the command runs
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run(capsys, "stirling2", "-n", "14300", "-k", "2", "-r", "0")
+    assert (code, err) == (0, "")
+    value = json.loads(out)["value"]
+    got = 0
+    for i in range(0, len(value), 1000):  # chunks that int() reads under the limit
+        chunk = value[i : i + 1000]
+        got = got * 10 ** len(chunk) + int(chunk)
+    assert len(value) == 4305 and got == 2**14299 - 1
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+def test_startup_imports_no_dataclasses():
+    # dataclasses pulls in inspect, ast and dis, about 20 ms of every start
+    src = pathlib.Path(rbell.cli.__file__).parent.parent
+    probe = "import sys, rbell.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_module_entry_point():

@@ -1,14 +1,15 @@
 """Tests for the verification-suite plumbing."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from rbell import verify
 from rbell.algebra import ApproxReal, IntPolynomial
+from rbell.analytic import cesaro_integral, max_index, real_rootedness_report
 from rbell.cli import main
 from rbell.errors import ConvergenceError, DomainError
+from rbell.oracle import enumerate_grid, enumerate_restricted_partitions
 from rbell.verify import SUITES, CheckResult, run_suite
 
 
@@ -17,6 +18,32 @@ def test_check_result_shape():
     assert res.detail == ""
     with pytest.raises(AttributeError):
         res.status = "FAIL"
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        ApproxReal(1.5, 0.25),
+        cesaro_integral(2, 2, 1e-8),
+        max_index(3, 2),
+        real_rootedness_report(3, 2),
+        enumerate_restricted_partitions(2, 1),
+        enumerate_grid([(2, 1)]),
+        CheckResult("demo", "FAIL", "detail"),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_result_records_are_immutable_named_tuples(record):
+    fields = record._fields
+    assert tuple(record) == tuple(getattr(record, name) for name in fields)
+    assert record._replace() == record
+    assert repr(record) == (
+        f"{type(record).__name__}("
+        + ", ".join(f"{name}={getattr(record, name)!r}" for name in fields) + ")"
+    )
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_registry_names():
@@ -66,9 +93,9 @@ def test_all_aggregates_every_suite():
     assert not any(check.status == "FAIL" for check in results)
 
 
-@pytest.mark.parametrize("suite", ["definitions", "carlitz", "ogf", "dobinski", "integral"])
+@pytest.mark.parametrize("suite", [suite for suite in SUITES if suite != "oracle"])
 def test_suite_passes_on_a_wide_grid(suite):
-    # past every default of these suites
+    # past every default; the oracle enumerates no point past n + r = 12
     failed = [check for check in run_suite(suite, nmax=30, rmax=16) if check.status == "FAIL"]
     assert failed == []
 
@@ -124,7 +151,7 @@ def _counts_at(point, change):
         def fake(points):
             walk = original(points)
             counts = {**walk.counts, point: change(walk.counts[point])}
-            return dataclasses.replace(walk, counts=counts)
+            return walk._replace(counts=counts)
 
         return fake
 
@@ -419,20 +446,20 @@ FAIL_CASES = [
     ),
     pytest.param(
         "maxindex", G,
-        {"max_index": _at((3, 2), lambda rep: dataclasses.replace(rep, maximizers=(2, 4)))},
+        {"max_index": _at((3, 2), lambda rep: rep._replace(maximizers=(2, 4)))},
         _fail("maximizing-index", "(n=3, r=2): maximizers (2, 4) not consecutive"),
         id="maximizing-index",
     ),
     pytest.param(
         "maxindex", G,
-        {"max_index": _at((4, 1), lambda rep: dataclasses.replace(rep, bound_holds=False))},
+        {"max_index": _at((4, 1), lambda rep: rep._replace(bound_holds=False))},
         _fail("maximizing-index", "(n=4, r=1): no maximizer within 1 of 99/52"),
         id="maximizing-index-bound",
     ),
     pytest.param(
         "oracle", G,
         {"enumerate_grid":
-            _counts_at((2, 1), lambda c: dataclasses.replace(c, total=c.total + 1))},
+            _counts_at((2, 1), lambda c: c._replace(total=c.total + 1))},
         _fail("oracle-totals", "(n=2, r=1): enumerated 6 vs 5"),
         id="oracle-totals",
     ),
@@ -444,7 +471,7 @@ FAIL_CASES = [
     pytest.param(
         "oracle", G,
         {
-            "enumerate_grid": _counts_at((2, 2), lambda c: dataclasses.replace(c, total=1)),
+            "enumerate_grid": _counts_at((2, 2), lambda c: c._replace(total=1)),
             "rbell_number": _at((2, 2), _const(1)),
         },
         _fail("oracle-monotonicity", "(n=2, r=1): 1 < 5"),
@@ -453,8 +480,8 @@ FAIL_CASES = [
     pytest.param(
         # (1, 5) is counted only below the staircase 0, 1, 2, 3, 4
         "oracle", (2, 6),
-        {"enumerate_grid": _counts_at((1, 5), lambda c: dataclasses.replace(
-            c, by_blocks={**c.by_blocks, 6: c.by_blocks[6] + 1}))},
+        {"enumerate_grid": _counts_at((1, 5), lambda c: c._replace(
+            by_blocks={**c.by_blocks, 6: c.by_blocks[6] + 1}))},
         _fail("oracle-totals", "(n=1, r=5, k=6): enumerated 2 vs 1"),
         id="oracle-totals-below-staircase",
     ),
@@ -485,7 +512,7 @@ def test_oracle_monotonicity_sees_only_totals_before_the_first_mismatch(monkeypa
     # (2, 2), later in scan order, never reaches the monotonicity check
     patches = {
         "stirling_row": _at((2, 4, 1), _entry(1, _plus(1))),
-        "enumerate_grid": _counts_at((2, 2), lambda c: dataclasses.replace(c, total=1)),
+        "enumerate_grid": _counts_at((2, 2), lambda c: c._replace(total=1)),
         "rbell_number": _at((2, 2), _const(1)),
     }
     results = _run_patched(monkeypatch, patches, lambda: run_suite("oracle", *G))
@@ -500,8 +527,10 @@ def test_oracle_grid_past_its_clamp_costs_what_the_clamp_costs():
     assert run_suite("oracle", 10**9, 10**9) == run_suite("oracle", 12, 12)
 
 
-# Two checks scan less than the grid asks: cigler n <= 6 and layman-hankel
-# r <= 5.  A wrong value past a cap goes unseen.  sin-moment has no cap.
+# One check scans less than the grid asks: cigler, n <= 6.  A wrong value
+# past its cap goes unseen.  sin-moment and layman-hankel have no cap; their
+# cases are named after the caps they once had (n <= 8 and r <= 5) and show
+# that a wrong value past them is seen, up to the grid's edge.
 CAP_CASES = [
     pytest.param(
         "cigler", (None, None), {"cigler_d": _at((6, 1, 1), lambda pair: (pair[0] + 1, pair[1]))},
@@ -523,13 +552,15 @@ CAP_CASES = [
         id="cigler-at-cap",
     ),
     pytest.param(
+        # B_{4,7} is read as the shifted sequence at r = 6
         "transforms", (4, 7), {"rbell_number": _at((4, 7), _plus(1))},
-        CheckResult("layman-hankel", "PASS"),
+        _fail("layman-hankel", "(r=6, size=3): 2 vs 3"),
         id="layman-past-cap",
     ),
     pytest.param(
-        "transforms", (4, 7), {"rbell_number": _at((4, 6), _plus(1))},
-        _fail("layman-hankel", "(r=5, size=3): 2 vs 3"),
+        # B_{4,8} is read only at r = 7, the grid's rmax
+        "transforms", (4, 7), {"rbell_number": _at((4, 8), _plus(1))},
+        _fail("layman-hankel", "(r=7, size=3): 2 vs 3"),
         id="layman-at-cap",
     ),
     pytest.param(
