@@ -216,7 +216,7 @@ def ogf_coefficient_pair(m: int, r: int, z) -> tuple[Fraction, Fraction]:
 
 
 # the largest |x| hypergeom_1f1 sums unless a, b and x are all positive:
-# 1F1(1; 1; x) takes about 0.05 s at x = -1000 and 2.3 s at x = -5000
+# 1F1(1; 1; x) takes about 0.04 s at x = -1000 and 1.2 s at x = -5000
 # (Python 3.11, 2 vCPUs)
 _MAX_ABS_X = 1000
 
@@ -226,13 +226,15 @@ def hypergeom_1f1(a, b, x, tol: float) -> ApproxReal:
     exactly with the term recurrence.
 
     Summation stops once the term ratio is provably <= 1/2 for every later
-    index and twice the next term has magnitude below tol/2; err is that
-    geometric tail bound plus the exact representation error.  When a, b and
-    x are positive, so is every term, and a partial sum past 2^1024 raises
-    DomainError at once; a sum past the float range with any other signs is
-    found by the final conversion.  Nothing cuts such a sum short, and it
-    runs to at least 4|x| terms, so there |x| above _MAX_ABS_X raises
-    DomainError before summing.
+    index, which is checked at each step, and twice the next term has
+    magnitude below tol/2; err is that geometric tail bound plus the exact
+    representation error.  When a, b and x are positive, so is every term,
+    and a partial sum past 2^1024 raises DomainError at once; a sum past the
+    float range with any other signs is found by the final conversion.
+    Nothing cuts such a sum short: at x < 0 the terms grow up to index about
+    |x| and fall below tol only past about e|x| (2,736 terms for
+    1F1(1; 1; -1000)), so there |x| above _MAX_ABS_X raises DomainError
+    before summing.
 
     As in dobinski_series_sum, the partial sum is one integer numerator over
     a running common denominator, which each step multiplies by
@@ -251,25 +253,28 @@ def hypergeom_1f1(a, b, x, tol: float) -> ApproxReal:
     pa, qa = aq.numerator, aq.denominator
     pb, qb = bq.numerator, bq.denominator
     px, qx = xq.numerator, xq.denominator
-    # For k >= k_min the term ratio (a+k) x / ((b+k)(k+1)) is at most 1/2:
-    # either |a+k|/|b+k| <= 2 and |x|/(k+1) <= 1/4, or k >= k_s, from where
-    # (a+k)/(b+k) is monotone and in [0, R], R = max(1, (a+k_s)/(b+k_s)),
-    # and k+1 >= 2R|x|.  a_s and b_s are qa qb (a+k_s) and qa qb (b+k_s).
+    # From k_s on, a + k >= 0 and b + k > 0, so the term ratio
+    # (a+k) x / ((b+k)(k+1)) has magnitude at most 1/2 exactly when
+    # g(k) = (b+k)(k+1) - 2|x|(a+k) >= 0.  g is convex, so once g(k) >= 0 and
+    # g(k+1) - g(k) = b + 2k + 2 - 2|x| >= 0, every later ratio stays at most
+    # 1/2 and the geometric tail bound holds.  Both tests run in integers, g
+    # times qa qb qx and its difference times qb qx.
     k_s = max(0, -(pa // qa), -pb // qb + 1)
-    a_s, b_s = (pa + k_s * qa) * qb, (pb + k_s * qb) * qa
-    k_ratio = -(-2 * abs(px) * max(a_s, b_s) // (b_s * qx))
-    k_min = max(min(math.ceil(abs(aq - bq) - bq), max(k_s, k_ratio)), math.ceil(4 * abs(xq)), 1)
+    settled = False
     tol_num, tol_den = tol_f.numerator, tol_f.denominator
     num, term, den = 1, 1, 1  # partial sum num / den and term t_k = term / den
     k = 0
     while True:
         # t_{k+1} = t_k (a+k) x / ((b+k)(k+1)), over the denominator den * step
         step = (pb + k * qb) * qa * qx * (k + 1)
+        factor = (pa + k * qa) * px * qb
+        if not settled and k >= k_s:
+            settled = 2 * abs(factor) <= step and (pb + (2 * k + 2) * qb) * qx >= 2 * abs(px) * qb
         den *= step
         num *= step
-        term *= (pa + k * qa) * px * qb
+        term *= factor
         # 4 |t_{k+1}| <= tol, both sides times |den| * tol_den
-        if k + 1 >= k_min and 4 * abs(term) * tol_den <= tol_num * abs(den):
+        if settled and 4 * abs(term) * tol_den <= tol_num * abs(den):
             break
         num += term
         if positive:

@@ -56,6 +56,13 @@ def _natural(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
+        # argv is parsed under the digit limit of int(str) (Python 3.10.7 on)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        digits = text.strip().lstrip("+").replace("_", "")
+        if limit and len(digits) > limit and digits.isdecimal():
+            raise argparse.ArgumentTypeError(
+                f"expected a natural number of at most {limit} digits, got {len(digits)} digits"
+            ) from None
         raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")

@@ -35,8 +35,11 @@ def binomial(n: int, k: int) -> int:
 
 # Rows kept for reuse, least recently used evicted first: one entry per
 # (kind, n, r), holding the widest prefix of that row built so far.
-# Sixty-four rows cover every row the verify suites revisit (carlitz walks
-# about thirty r values at once) while capping what a long-lived process holds.
+# Sixty-four rows cap what a long-lived process holds; they do not hold every
+# row a verify suite revisits (one definitions check reads 117 rows at the
+# default grid).  A miss mostly costs one step from row n-1: over
+# `verify --suite definitions`, 935 row requests gave 322 exact hits, 515
+# builds from row n-1 and 98 from row r.
 _ROW_CACHE_SIZE = 64
 _rows: OrderedDict[tuple[int, int, int], tuple[int, ...]] = OrderedDict()
 

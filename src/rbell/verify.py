@@ -4,9 +4,11 @@ parameter grids and reported as PASS / FAIL / KNOWN-ERRATUM check results.
 Every check is one row of the table ``_CHECKS``: its suite, its name, the
 function that scans its grid, the default nmax and rmax, and any cap on
 them.  A check function returns its first counterexample as a string, or
-None; the runner turns that into a ``CheckResult``.  Each check scans its
-grid in a fixed order and stops at the first counterexample, so reports are
-deterministic.  The one expected failure is the frequently printed
+None; the runner turns that into a ``CheckResult``.  A row named None
+reports its own list of results: the erratum, the two oracle checks from one
+enumeration, and the three Carlitz checks from one scan.  Each check scans
+its grid in a fixed order and keeps its first counterexample, so reports
+are deterministic.  The one expected failure is the frequently printed
 simplified form of the cross-r polynomial recurrence, which is reported as
 KNOWN-ERRATUM (see bell.cross_r_printed); it does not fail a suite.
 """
@@ -91,7 +93,8 @@ def _points(nmax: int, rmax: int, n_from: int = 0, r_from: int = 0):
 
 
 # Every check below takes the resolved (nmax, rmax) of its table row, None
-# for an axis it does not scan, and returns its first counterexample or None.
+# for an axis it does not scan, and returns its first counterexample or None,
+# or, in a row named None, its own list of results.
 
 # ---------------------------------------------------------------------------
 # definitions
@@ -277,51 +280,36 @@ def _erratum(nmax: None, rmax: None) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
-# carlitz: nmax bounds n + m.  Each scan compares the library's Carlitz sums,
-# which read r-Bell numbers off r-Stirling rows, with one rbell_table built by
-# the Bell triangle and Whitehead's step.
+# carlitz: nmax bounds n + m.
 
 
-def _carlitz_compose(total: int, rmax: int) -> str | None:
-    table = rbell_table(total, rmax)  # B_{n+m,r} at [r][n + m]
-    for r in range(rmax + 1):
-        for n in range(total + 1):
-            for m in range(total + 1 - n):
-                got = carlitz_compose(n, m, r)
-                want = table[r][n + m]
-                if got != want:
-                    return f"(n={n}, m={m}, r={r}): {got} vs B = {want}"
-    return None
-
-
-def _carlitz_inverse(total: int, rmax: int) -> str | None:
+def _carlitz(total: int, rmax: int) -> list[CheckResult]:
+    """Three checks from one scan, each against one rbell_table built by the
+    Bell triangle and Whitehead's step: the library's Carlitz composition and
+    inversion sums, which read r-Bell numbers off r-Stirling rows, and the
+    roundtrip, composition fed with the inversion's values, which must
+    reproduce B_{n+m,r}.  Each carlitz_inverse(n, m, r) is computed once and
+    serves the last two checks.  The points are compared in (r, n, m) order,
+    and each check keeps its own first counterexample."""
+    names = ("carlitz-compose", "carlitz-inverse", "carlitz-roundtrip")
     table = rbell_table(total, rmax + total)  # B_{n,r+m} at [r + m][n]
-    for r in range(rmax + 1):
-        for n in range(total + 1):
-            for m in range(total + 1 - n):
-                got = carlitz_inverse(n, m, r)
-                want = table[r + m][n]
-                if got != want:
-                    return f"(n={n}, m={m}, r={r}): {got} vs B = {want}"
-    return None
-
-
-def _carlitz_roundtrip(total: int, rmax: int) -> str | None:
-    # compose fed with inverse-produced values must reproduce B_{n+m,r}; each
-    # inverse value carlitz_inverse(n, j, r), j <= total - n, is computed once
-    table = rbell_table(total, rmax)
+    first = {}  # check name -> its first counterexample
     for r in range(rmax + 1):
         rows = [stirling_row(2, m + r, r) for m in range(total + 1)]
-        inverses = [
-            [carlitz_inverse(n, j, r) for j in range(total + 1 - n)] for n in range(total + 1)
-        ]
         for n in range(total + 1):
+            inverses = []  # carlitz_inverse(n, j, r) at j
             for m in range(total + 1 - n):
-                recomposed = sum(s * inverses[n][j] for j, s in enumerate(rows[m]))
-                want = table[r][n + m]
-                if recomposed != want:
-                    return f"(n={n}, m={m}, r={r}): {recomposed} vs {want}"
-    return None
+                inverses.append(carlitz_inverse(n, m, r))
+                recomposed = sum(s * inverses[j] for j, s in enumerate(rows[m]))
+                compared = (
+                    (carlitz_compose(n, m, r), "B = ", table[r][n + m]),
+                    (inverses[m], "B = ", table[r + m][n]),
+                    (recomposed, "", table[r][n + m]),
+                )
+                for name, (got, label, want) in zip(names, compared):
+                    if got != want and name not in first:
+                        first[name] = f"(n={n}, m={m}, r={r}): {got} vs {label}{want}"
+    return [_result(name, first.get(name)) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +542,9 @@ class _Check(NamedTuple):
     n_cap: int | None = None
 
 
-# Rows are in report order; a suite's rows are contiguous.
+# Rows are in report order; a suite's rows are contiguous.  A row named None
+# reports its own results: one for the erratum, two for the oracle and three
+# for carlitz.
 _CHECKS = (
     _Check("definitions", "explicit-formula", _explicit_formula, 12, 8),
     _Check("definitions", "stirling-row-sums", _row_sums, 12, 8),
@@ -570,9 +560,7 @@ _CHECKS = (
     _Check("recurrences", "whitehead-step", _whitehead, 12, 8),
     _Check("recurrences", "bell-shift", _bell_shift, 12, None),
     _Check("recurrences", None, _erratum, None, None),
-    _Check("carlitz", "carlitz-compose", _carlitz_compose, 10, 6),
-    _Check("carlitz", "carlitz-inverse", _carlitz_inverse, 10, 6),
-    _Check("carlitz", "carlitz-roundtrip", _carlitz_roundtrip, 10, 6),
+    _Check("carlitz", None, _carlitz, 10, 6),
     _Check("transforms", "transform-roundtrip", _transform_roundtrip, 10, 6),
     _Check("transforms", "poly-binomial-relations", _poly_transform_relations, 10, 6),
     _Check("transforms", "layman-hankel", _layman, None, 6),

@@ -339,6 +339,18 @@ def test_hypergeom_long_exact_sum_is_fast_and_encloses():
         assert abs(mpmath.mpf(got.value) - mpmath.exp(700)) <= mpmath.mpf(got.err)
 
 
+def test_hypergeom_stops_where_the_term_ratio_settles():
+    mpmath = pytest.importorskip("mpmath")
+    # the ratio 5000 / (10^6 + k) is below 1/2 from the first term on, so the
+    # sum may stop after five terms, not 4|x| = 20,000
+    started = time.perf_counter()
+    got = hypergeom_1f1(1, 10**6, 5000, 1e-9)
+    assert time.perf_counter() - started < 0.5
+    with mpmath.workdps(60):
+        exact = mpmath.hyp1f1(1, 10**6, 5000)
+        assert abs(mpmath.mpf(got.value) - exact) <= mpmath.mpf(got.err)
+
+
 def test_hypergeom_past_float_range_fails_fast():
     started = time.perf_counter()
     with pytest.raises(DomainError, match="float range"):
@@ -348,7 +360,8 @@ def test_hypergeom_past_float_range_fails_fast():
 
 def test_hypergeom_overflow_raised_while_summing():
     # a, b, x > 0: every term is positive, so the sum stops once a partial
-    # sum passes 2^1024; summing to k_min = 4 * 5000 would take seconds
+    # sum passes 2^1024; summing until the terms fall below tol would take
+    # seconds
     started = time.perf_counter()
     message = r"^1F1\(1; 1; 5000\) exceeds the float range$"
     with pytest.raises(DomainError, match=message):
@@ -361,16 +374,17 @@ def test_hypergeom_overflow_raised_while_summing():
 @pytest.mark.parametrize(
     "a, x",
     [
-        # k_min = 4 x; the second term alone is past the float range
+        # the second term alone is past the float range
         (1, 10**306),
-        # k_min = 2 a x = 2e10; the terms grow by about a x / k = 1e10 / k,
-        # so the partial sums pass 2^1024 within a few dozen terms
+        # the terms grow by about a x / k = 1e10 / k, so the partial sums
+        # pass 2^1024 within a few dozen terms
         (10**400, Fraction(1, 10**390)),
     ],
     ids=["x=1e306", "a=1e400"],
 )
 def test_hypergeom_with_huge_arguments_fails_fast(a, x):
-    # summing to k_min would not end
+    # the overflow check must fire long before the term ratio settles below
+    # 1/2, past k = 2e306 and k = 1.4e5 here
     started = time.perf_counter()
     with pytest.raises(DomainError, match="exceeds the float range$"):
         hypergeom_1f1(a, 1, x, 1e-9)
@@ -387,8 +401,8 @@ def test_hypergeom_with_huge_a_and_tiny_x_stops_at_once():
 
 
 def test_hypergeom_bounds_x_where_no_partial_sum_check_acts():
-    # unless a, b and x are all positive the sum runs to 4|x| terms; at
-    # x = -5000 that took seconds
+    # unless a, b and x are all positive nothing cuts the sum short, and at
+    # x = -5000 its terms fall below tol only past about e|x| = 13,600
     started = time.perf_counter()
     for a, b, x in [(1, 1, -5000), (Fraction(-1, 2), 1, 1001), (1, Fraction(-1, 2), 1001)]:
         with pytest.raises(DomainError, match=r"needs \|x\| <= 1000 unless a, b and x are all positive$"):

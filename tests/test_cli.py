@@ -312,6 +312,20 @@ def test_values_past_the_str_digit_limit_print_in_full(capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
+def test_natural_past_the_str_digit_limit_names_the_limit(capsys):
+    # argv is parsed under the limit, so a 4,401-digit -n is refused by name
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python has no int(str) digit limit")
+    n = "1" + "0" * 4400
+    code, out, err = run(capsys, "stirling2", "-n", n, "-k", "2", "-r", "0")
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f"argument -n: expected a natural number of at most {limit} digits, got 4401 digits\n"
+    )
+    assert "Traceback" not in err
+
+
 def test_startup_imports_no_dataclasses():
     # dataclasses pulls in inspect, ast and dis, about 20 ms of every start
     src = pathlib.Path(rbell.cli.__file__).parent.parent

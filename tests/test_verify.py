@@ -522,6 +522,42 @@ def test_oracle_monotonicity_sees_only_totals_before_the_first_mismatch(monkeypa
     ]
 
 
+def test_carlitz_scan_builds_one_table_and_each_inverse_once(monkeypatch):
+    # the default grid has 7 * 66 points (r <= 6, n + m <= 10); the inverse
+    # values serve both the inverse and the roundtrip check
+    calls = {"carlitz_inverse": 0, "rbell_table": 0}
+
+    def counting(name):
+        def make(original):
+            def fake(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return fake
+
+        return make
+
+    patches = {name: counting(name) for name in calls}
+    results = _run_patched(monkeypatch, patches, lambda: run_suite("carlitz"))
+    assert all(check.status == "PASS" for check in results)
+    assert calls == {"carlitz_inverse": 462, "rbell_table": 1}
+
+
+def test_carlitz_checks_keep_their_own_first_counterexample(monkeypatch):
+    # one scan compares all three checks; a wrong value one check reads does
+    # not end the others
+    patches = {
+        "carlitz_compose": _at((1, 2, 2), _plus(1)),
+        "stirling_row": _at((2, 3, 1), _entry(2, _plus(1))),
+    }
+    results = _run_patched(monkeypatch, patches, lambda: run_suite("carlitz", *G))
+    assert results == [
+        _fail("carlitz-compose", "(n=1, m=2, r=2): 38 vs B = 37"),
+        CheckResult("carlitz-inverse", "PASS"),
+        _fail("carlitz-roundtrip", "(n=0, m=2, r=1): 6 vs 5"),
+    ]
+
+
 def test_oracle_grid_past_its_clamp_costs_what_the_clamp_costs():
     # no point with n + r > 12 is enumerated, so none is scanned either
     assert run_suite("oracle", 10**9, 10**9) == run_suite("oracle", 12, 12)
