@@ -41,6 +41,7 @@ from .bell import (
     rbell_number,
     rbell_poly,
     rbell_poly_rec,
+    rbell_polys_rec,
     rbell_table,
     whitehead_row_sum,
     whitehead_step,
@@ -56,7 +57,9 @@ from .stirling import (
 )
 from .transforms import (
     binomial_transform,
+    cigler_closed_form,
     cigler_d,
+    cigler_minors,
     hankel_det,
     hankel_transform_rbell,
     inverse_binomial_transform,
@@ -85,7 +88,9 @@ __all__ = [
     "carlitz_inverse",
     "cesaro_integral",
     "cesaro_integrand_forms",
+    "cigler_closed_form",
     "cigler_d",
+    "cigler_minors",
     "cross_r_printed",
     "cross_r_step",
     "dobinski_eval",
@@ -109,6 +114,7 @@ __all__ = [
     "rbell_number",
     "rbell_poly",
     "rbell_poly_rec",
+    "rbell_polys_rec",
     "rbell_table",
     "real_rootedness_report",
     "run_suite",

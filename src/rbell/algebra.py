@@ -10,6 +10,7 @@ participates in arithmetic; it only reports results of the numeric routines in
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -24,6 +25,12 @@ class IntPolynomial:
     The coefficient tuple is canonical: trailing zeros are stripped and the
     zero polynomial is the empty tuple, with degree -1 by convention.
     Instances are immutable and hashable.
+
+    The public constructor checks that every coefficient is an int, not a
+    bool, and raises DomainError otherwise.  Arithmetic results skip that
+    check: their coefficients are ints by construction, because every
+    operand is an IntPolynomial or passes the same int-not-bool test, so
+    they are built by ``_poly``, which only strips trailing zeros.
     """
 
     __slots__ = ("coeffs",)
@@ -61,11 +68,10 @@ class IntPolynomial:
         return self.coeffs[0] if self.coeffs else 0
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, IntPolynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self == IntPolynomial((other,))
-        return NotImplemented
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         # a constant equals its int, so it hashes as that int
@@ -83,41 +89,38 @@ class IntPolynomial:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
+        return _poly([*map(operator.add, a, b), *a[len(b):]])
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
+        return _poly([-c for c in self.coeffs])
 
     def __sub__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _difference(self.coeffs, other.coeffs)
 
     def __rsub__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _difference(other.coeffs, self.coeffs)
 
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int) and not isinstance(other, bool):
-            return IntPolynomial(tuple(other * c for c in self.coeffs))
+            return _poly([other * c for c in self.coeffs])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
-            return IntPolynomial()
+            return _poly([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
+                for j, b in enumerate(other.coeffs, i):
+                    out[j] += a * b
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -144,12 +147,12 @@ class IntPolynomial:
                     rem[shift + i] -= q * b[i]
         if any(rem):
             raise InconsistencyError(f"{other!r} does not divide {self!r} in Z[x]")
-        return IntPolynomial(quo)
+        return _poly(quo)
 
     def __pow__(self, n: int) -> "IntPolynomial":
         if not isinstance(n, int) or n < 0:
             raise DomainError("polynomial exponent must be a natural number")
-        result = IntPolynomial((1,))
+        result = _poly([1])
         base = self
         while n:
             if n & 1:
@@ -159,7 +162,7 @@ class IntPolynomial:
         return result
 
     def derivative(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k))
+        return _poly([k * c for k, c in enumerate(self.coeffs) if k])
 
     def __call__(self, x: Scalar) -> Scalar:
         """Evaluate by Horner's rule; exact for int or Fraction arguments.
@@ -179,6 +182,25 @@ class IntPolynomial:
         return f"IntPolynomial({list(self.coeffs)!r})"
 
 
+_set_coeffs = IntPolynomial.coeffs.__set__
+
+
+def _poly(cs: list[int]) -> IntPolynomial:
+    """The IntPolynomial with coefficients cs, a list of ints that it may
+    consume: trailing zeros are stripped, and nothing is type-checked."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    p = object.__new__(IntPolynomial)
+    _set_coeffs(p, tuple(cs))
+    return p
+
+
+def _difference(a: tuple[int, ...], b: tuple[int, ...]) -> IntPolynomial:
+    """The polynomial a - b of two coefficient tuples, in one pass."""
+    tail = a[len(b):] if len(a) >= len(b) else [-c for c in b[len(a):]]
+    return _poly([*map(operator.sub, a, b), *tail])
+
+
 def _homogenised_value(coeffs: Sequence[int], num: int, den: int) -> int:
     """den^d p(num/den) = sum_k c_k num^k den^(d-k) for p of degree d, by
     Horner's rule in integers."""
@@ -193,7 +215,7 @@ def _as_poly(v) -> "IntPolynomial":
     if isinstance(v, IntPolynomial):
         return v
     if isinstance(v, int) and not isinstance(v, bool):
-        return IntPolynomial((v,))
+        return _poly([v])
     return NotImplemented
 
 
@@ -269,26 +291,24 @@ def fraction_free_det(rows: Sequence[Sequence[int | IntPolynomial]]):
     entry, a Fraction or a float say, raises DomainError: ``//`` would floor
     its quotients.
     """
-    m = _matrix(rows)
-    if any(isinstance(e, IntPolynomial) for row in m for e in row):
-        m = [[_as_poly(e) for e in row] for row in m]
-    diagonal, swaps = _bareiss(m)
+    diagonal, swaps = _bareiss(_matrix(rows))
     return -diagonal[-1] if swaps % 2 else diagonal[-1]
 
 
-def leading_principal_minors(rows: Sequence[Sequence[int]]) -> list[int]:
+def leading_principal_minors(rows: Sequence[Sequence[int | IntPolynomial]]) -> list:
     """Determinants of the leading 1x1, 2x2, ..., nxn submatrices of a square
-    integer matrix, from one Bareiss elimination: while no row has been
-    swapped, the diagonal entry met at step k is the leading (k+1)x(k+1) minor.
+    matrix of ints or of IntPolynomials, from one Bareiss elimination: while
+    no row has been swapped, the diagonal entry met at step k is the leading
+    (k+1)x(k+1) minor.
 
     Elimination cannot pass a zero minor without pivoting, so a zero before
     the last one raises InconsistencyError; callers use this on matrices
     whose minors are known to be positive, such as moment matrices of a
-    positive measure.  Entries are checked as in fraction_free_det.
+    positive measure.  Entries are checked, and a matrix with any
+    IntPolynomial entry is computed over Z[x], as in fraction_free_det.
     """
-    m = _matrix(rows)
-    minors, swaps = _bareiss(m)
-    if swaps or len(minors) < len(m):
+    minors, swaps = _bareiss(_matrix(rows))
+    if swaps or len(minors) < len(rows):
         k = minors.index(0) + 1
         raise InconsistencyError(f"leading {k}x{k} minor is zero; cannot eliminate")
     return minors
@@ -296,7 +316,8 @@ def leading_principal_minors(rows: Sequence[Sequence[int]]) -> list[int]:
 
 def _matrix(rows: Sequence[Sequence]) -> list[list]:
     """A copy of rows, a nonempty square matrix whose entries are ints (not
-    bools) or IntPolynomials, the rings where Bareiss divides exactly."""
+    bools) or IntPolynomials, the rings where Bareiss divides exactly.  A
+    matrix with any IntPolynomial entry is copied as a matrix over Z[x]."""
     m = [list(row) for row in rows]
     n = len(m)
     if n == 0 or any(len(row) != n for row in m):
@@ -305,6 +326,8 @@ def _matrix(rows: Sequence[Sequence]) -> list[list]:
         for e in row:
             if isinstance(e, bool) or not isinstance(e, (int, IntPolynomial)):
                 raise DomainError(f"determinant entries must be int or IntPolynomial, got {e!r}")
+    if any(isinstance(e, IntPolynomial) for row in m for e in row):
+        m = [[_as_poly(e) for e in row] for row in m]
     return m
 
 
@@ -351,7 +374,7 @@ def _bareiss(m: list[list]) -> tuple[list, int]:
 def _primitive(p: IntPolynomial) -> IntPolynomial:
     """p divided by its positive content; the sign of p is kept."""
     content = math.gcd(*p.coeffs)
-    return p if content <= 1 else IntPolynomial([c // content for c in p.coeffs])
+    return p if content <= 1 else _poly([c // content for c in p.coeffs])
 
 
 def _neg_pseudo_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -373,7 +396,7 @@ def _neg_pseudo_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
             t = sign * top
             rem[:shift] = [scale * c for c in rem[:shift]]
             rem[shift:] = [scale * c - t * bc for c, bc in zip(rem[shift:], b_low)]
-    return IntPolynomial([-c for c in rem])
+    return _poly([-c for c in rem])
 
 
 def _remainder_sequence(p: IntPolynomial) -> list[IntPolynomial]:

@@ -33,19 +33,27 @@ def rbell_poly(n: int, r: int) -> IntPolynomial:
     return IntPolynomial(stirling_row(2, n + r, r))
 
 
-def rbell_poly_rec(n: int, r: int) -> IntPolynomial:
-    """B_{n,r}(x) built solely from the derivative recurrence
+def rbell_polys_rec(n_max: int, r: int) -> list[IntPolynomial]:
+    """B_{0,r}(x), ..., B_{n_max,r}(x) built solely from the derivative
+    recurrence
 
         B_{n,r}(x) = x (B'_{n-1,r}(x) + B_{n-1,r}(x)) + r B_{n-1,r}(x)
 
-    starting at B_{0,r} = 1.
+    starting at B_{0,r} = 1, in one walk.
     """
-    _check_natural(n=n, r=r)
+    _check_natural(n_max=n_max, r=r)
     x = IntPolynomial((0, 1))
-    p = IntPolynomial((1,))
-    for _ in range(n):
-        p = x * (p.derivative() + p) + r * p
-    return p
+    polys = [IntPolynomial((1,))]
+    for _ in range(n_max):
+        p = polys[-1]
+        polys.append(x * (p.derivative() + p) + r * p)
+    return polys
+
+
+def rbell_poly_rec(n: int, r: int) -> IntPolynomial:
+    """B_{n,r}(x) from the derivative recurrence: the last of
+    :func:`rbell_polys_rec`."""
+    return rbell_polys_rec(n, r)[-1]
 
 
 def rbell_number(n: int, r: int) -> int:

@@ -11,7 +11,7 @@ import math
 from .algebra import IntPolynomial, fraction_free_det, leading_principal_minors, pochhammer
 from .bell import rbell_poly, rbell_table
 from .errors import DomainError
-from .stirling import _check_natural, binomial
+from .stirling import _check_natural
 
 
 def binomial_transform(seq):
@@ -20,7 +20,7 @@ def binomial_transform(seq):
     for n in range(len(seq)):
         acc = 0
         for k in range(n + 1):
-            term = binomial(n, k) * seq[k]
+            term = math.comb(n, k) * seq[k]
             acc = acc + term if (n - k) % 2 == 0 else acc - term
         out.append(acc)
     return out
@@ -29,7 +29,7 @@ def binomial_transform(seq):
 def inverse_binomial_transform(seq):
     """a_n = sum_k C(n, k) b_k, the inverse of :func:`binomial_transform`."""
     return [
-        sum(binomial(n, k) * seq[k] for k in range(n + 1)) for n in range(len(seq))
+        sum(math.comb(n, k) * seq[k] for k in range(n + 1)) for n in range(len(seq))
     ]
 
 
@@ -71,28 +71,45 @@ def log_convexity_check(seq) -> bool:
     )
 
 
-def cigler_d(n: int, k: int, r: int) -> tuple[IntPolynomial, IntPolynomial]:
-    """Cigler's shifted Hankel determinant d(n, k) = det(B_{i+j+k,r}(x)) and
-    its closed form, as a (computed, expected) pair.
+def cigler_minors(n_max: int, k: int, r: int) -> list[IntPolynomial]:
+    """Cigler's shifted Hankel determinants d(n, k) = det(B_{i+j+k,r}(x))_{i,j<n}
+    for n = 1..n_max, at entry n - 1.
 
-    Closed forms, with (r)_i the rising factorial:
+    All of them come from one elimination: they are the leading principal
+    minors of the n_max x n_max matrix.  None is zero, by the closed forms
+    of :func:`cigler_closed_form`; a zero one raises InconsistencyError.
+    """
+    _check_natural(n_max=n_max, k=k, r=r)
+    if n_max < 1:
+        raise DomainError("cigler_minors needs n_max >= 1")
+    polys = [rbell_poly(m, r) for m in range(2 * (n_max - 1) + k + 1)]
+    return leading_principal_minors([polys[i + k : i + k + n_max] for i in range(n_max)])
+
+
+def cigler_closed_form(n: int, k: int, r: int) -> IntPolynomial:
+    """Cigler's closed form of d(n, k) for k in {0, 1}, with (r)_i the
+    rising factorial:
 
         d(n, 0) = x^C(n,2) prod_{j<n} j!
         d(n, 1) = x^C(n,2) prod_{j<n} j! . sum_{j=0..n} C(n, j) x^j (r)_{n-j}
     """
     _check_natural(n=n, k=k, r=r)
     if n < 1:
-        raise DomainError("cigler_d needs n >= 1")
+        raise DomainError("Cigler's closed forms need n >= 1")
     if k not in (0, 1):
-        raise DomainError("cigler_d is stated for k in {0, 1} only")
-    polys = [rbell_poly(m, r) for m in range(2 * (n - 1) + k + 1)]
-    computed = hankel_det(polys, n, k)
-
+        raise DomainError("Cigler's closed forms are stated for k in {0, 1} only")
     prefactor = math.prod(math.factorial(j) for j in range(n))
-    expected = IntPolynomial.monomial(n * (n - 1) // 2, prefactor)
+    closed = IntPolynomial.monomial(n * (n - 1) // 2, prefactor)
     if k == 1:
         series = IntPolynomial(
-            [binomial(n, j) * int(pochhammer(r, n - j)) for j in range(n + 1)]
+            [math.comb(n, j) * int(pochhammer(r, n - j)) for j in range(n + 1)]
         )
-        expected = expected * series
-    return computed, expected
+        closed = closed * series
+    return closed
+
+
+def cigler_d(n: int, k: int, r: int) -> tuple[IntPolynomial, IntPolynomial]:
+    """Cigler's d(n, k) and its closed form, as a (computed, expected) pair:
+    the last of :func:`cigler_minors` and :func:`cigler_closed_form`."""
+    expected = cigler_closed_form(n, k, r)  # rejects n and k before any elimination
+    return cigler_minors(n, k, r)[-1], expected

@@ -139,6 +139,74 @@ def test_polynomial_random_ring_axioms():
             assert (p * q).degree == p.degree + q.degree
 
 
+def _random_polys(rng, count):
+    """count random polynomials of degree -1..12, with coefficients in
+    [-50, 50], leading zeros left for the constructor to strip."""
+    return [
+        IntPolynomial([rng.randint(-50, 50) for _ in range(rng.randrange(0, 14))])
+        for _ in range(count)
+    ]
+
+
+def _canonical(p):
+    return (
+        type(p) is IntPolynomial
+        and all(type(c) is int for c in p.coeffs)
+        and (not p.coeffs or p.coeffs[-1] != 0)
+    )
+
+
+def test_polynomial_arithmetic_results_are_canonical():
+    rng = random.Random(1802)
+    for p, q in zip(_random_polys(rng, 300), _random_polys(rng, 300)):
+        assert (p - p).coeffs == ()
+        assert (p + (-p)).coeffs == ()
+        # s shares p's leading term, so p - s cancels it
+        s = IntPolynomial([*(rng.randint(-50, 50) for _ in range(p.degree)), p.leading_coefficient])
+        results = [p + q, p - q, q - p, p * q, -p, 3 * p, 0 * p, p - 7, 7 - p, p + 0]
+        results += [p.derivative(), p - s, s - p, p**2, p - s + 0]
+        if q:
+            results.append((p * q) // q)
+        for result in results:
+            assert _canonical(result), result
+            assert result == IntPolynomial(result.coeffs)
+        assert hash(p - q + q) == hash(p)
+        assert (p - q + q).coeffs == p.coeffs
+
+
+def test_polynomial_arithmetic_agrees_with_evaluation():
+    rng = random.Random(1803)
+    for p, q in zip(_random_polys(rng, 200), _random_polys(rng, 200)):
+        c = rng.randint(-9, 9)
+        for x in range(-4, 5):
+            px, qx = p(x), q(x)
+            assert (p + q)(x) == px + qx
+            assert (p - q)(x) == px - qx
+            assert (q - p)(x) == qx - px
+            assert (p * q)(x) == px * qx
+            assert (c * p)(x) == (p * c)(x) == c * px
+            assert (p + c)(x) == (c + p)(x) == px + c
+            assert (c - p)(x) == c - px
+            assert p.derivative()(x) == sum(k * a * x ** (k - 1) for k, a in enumerate(p.coeffs) if k)
+            if q:
+                assert ((p * q) // q)(x) == px
+            if c:
+                assert ((c * p) // c)(x) == px
+
+
+@pytest.mark.parametrize("bad", [True, False, Fraction(1, 2), Fraction(2), 1.5, 2.0])
+def test_polynomial_arithmetic_rejects_non_int_operands(bad):
+    p = IntPolynomial([1, 2, 3])
+    for op in (
+        lambda: p + bad, lambda: bad + p, lambda: p - bad, lambda: bad - p,
+        lambda: p * bad, lambda: bad * p, lambda: p // bad,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(DomainError):
+        IntPolynomial([1, bad])
+
+
 def test_approx_real_contract():
     a = ApproxReal(1.5, 0.25)
     assert a.encloses(Fraction(3, 2))
@@ -304,6 +372,11 @@ def test_leading_principal_minors():
         with pytest.raises(InconsistencyError, match="leading 2x2 minor"):
             leading_principal_minors(m)
         assert fraction_free_det(m) == det
+    # over Z[x], int entries mixed in: every minor is an IntPolynomial
+    x = IntPolynomial([0, 1])
+    minors = leading_principal_minors([[1, x, 2], [x, 2, x], [2, x, 5]])
+    assert minors == [1, 2 - x * x, 2 - 2 * x * x]
+    assert all(type(minor) is IntPolynomial for minor in minors)
     with pytest.raises(DomainError):
         leading_principal_minors([[1, 2], [3]])
     with pytest.raises(DomainError):

@@ -15,6 +15,7 @@ from rbell.bell import (
     rbell_number,
     rbell_poly,
     rbell_poly_rec,
+    rbell_polys_rec,
     rbell_table,
     whitehead_row_sum,
     whitehead_step,
@@ -36,6 +37,15 @@ def test_rbell_poly_rec_matches_direct():
     for r in range(0, 7):
         for n in range(0, 10):
             assert rbell_poly_rec(n, r) == rbell_poly(n, r)
+
+
+def test_rbell_polys_rec_is_one_walk_of_the_recurrence():
+    for r in range(9):
+        for n in range(31):
+            assert rbell_polys_rec(n, r) == [rbell_poly(m, r) for m in range(n + 1)], (n, r)
+        assert rbell_poly_rec(30, r) == rbell_polys_rec(30, r)[-1]
+    with pytest.raises(DomainError):
+        rbell_polys_rec(-1, 0)
 
 
 def test_rbell_number_examples():

@@ -10,7 +10,9 @@ from rbell.bell import rbell_number, rbell_poly
 from rbell.errors import DomainError
 from rbell.transforms import (
     binomial_transform,
+    cigler_closed_form,
     cigler_d,
+    cigler_minors,
     hankel_det,
     hankel_transform_rbell,
     inverse_binomial_transform,
@@ -119,6 +121,19 @@ def test_cigler_closed_forms_hold():
             for k in (0, 1):
                 computed, expected = cigler_d(n, k, r)
                 assert computed == expected
+
+
+def test_cigler_minors_are_the_determinants_of_every_size():
+    # one elimination against one pivoting determinant per size
+    for r in range(4):
+        for k in (0, 1, 2):
+            polys = [rbell_poly(m, r) for m in range(2 * 5 + k + 1)]
+            minors = cigler_minors(6, k, r)
+            assert minors == [hankel_det(polys, n, k) for n in range(1, 7)], (k, r)
+            if k < 2:
+                assert minors == [cigler_closed_form(n, k, r) for n in range(1, 7)], (k, r)
+    with pytest.raises(DomainError):
+        cigler_minors(0, 0, 1)
 
 
 def test_cigler_validation():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rbell import verify
+from rbell import transforms, verify
 from rbell.algebra import ApproxReal, IntPolynomial
 from rbell.analytic import cesaro_integral, max_index, real_rootedness_report
 from rbell.cli import main
@@ -355,7 +355,7 @@ FAIL_CASES = [
         id="log-convexity",
     ),
     pytest.param(
-        "cigler", G, {"cigler_d": _at((2, 1, 1), lambda pair: (pair[0] + 1, pair[1]))},
+        "cigler", G, {"cigler_minors": _at((4, 1, 1), _entry(1, _plus(1)))},
         _fail(
             "cigler-determinants",
             "(n=2, k=1, r=1): IntPolynomial([1, 2, 2, 1]) vs IntPolynomial([0, 2, 2, 1])",
@@ -558,28 +558,39 @@ def test_carlitz_checks_keep_their_own_first_counterexample(monkeypatch):
     ]
 
 
+def test_cigler_zero_minor_is_a_counterexample(monkeypatch, capsys):
+    # B_{0,1} read as 0 makes the k = 0 elimination meet a zero 1x1 minor
+    zero_at = _at((0, 1), _const(IntPolynomial()))
+    monkeypatch.setattr(transforms, "rbell_poly", zero_at(transforms.rbell_poly))
+    expected = _fail("cigler-determinants", "(k=0, r=1): leading 1x1 minor is zero; cannot eliminate")
+    assert run_suite("cigler", *G) == [expected]
+    assert main(["verify", "--suite", "cigler", *_grid_flags(*G)]) == 1
+    assert f"cigler-determinants: FAIL ({expected.detail})\n" in capsys.readouterr().out
+
+
 def test_oracle_grid_past_its_clamp_costs_what_the_clamp_costs():
     # no point with n + r > 12 is enumerated, so none is scanned either
     assert run_suite("oracle", 10**9, 10**9) == run_suite("oracle", 12, 12)
 
 
 # One check scans less than the grid asks: cigler, n <= 6.  A wrong value
-# past its cap goes unseen.  sin-moment and layman-hankel have no cap; their
+# past its cap goes unseen: the cigler cases corrupt d(n, k) in an
+# elimination of the size a scan without the default or the cap would run.  sin-moment and layman-hankel have no cap; their
 # cases are named after the caps they once had (n <= 8 and r <= 5) and show
 # that a wrong value past them is seen, up to the grid's edge.
 CAP_CASES = [
     pytest.param(
-        "cigler", (None, None), {"cigler_d": _at((6, 1, 1), lambda pair: (pair[0] + 1, pair[1]))},
+        "cigler", (None, None), {"cigler_minors": _at((6, 1, 1), _entry(5, _plus(1)))},
         CheckResult("cigler-determinants", "PASS"),
         id="cigler-default",
     ),
     pytest.param(
-        "cigler", (8, 1), {"cigler_d": _at((7, 1, 1), lambda pair: (pair[0] + 1, pair[1]))},
+        "cigler", (8, 1), {"cigler_minors": _at((8, 1, 1), _entry(6, _plus(1)))},
         CheckResult("cigler-determinants", "PASS"),
         id="cigler-past-cap",
     ),
     pytest.param(
-        "cigler", (8, 1), {"cigler_d": _at((6, 0, 1), lambda pair: (pair[0] + 1, pair[1]))},
+        "cigler", (8, 1), {"cigler_minors": _at((6, 0, 1), _entry(5, _plus(1)))},
         _fail(
             "cigler-determinants",
             "(n=6, k=0, r=1): IntPolynomial([1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 34560]) "
