@@ -14,8 +14,8 @@ the caller; that keeps the verification plumbing uniform.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 
 from .algebra import IntPolynomial
 from .errors import DomainError
@@ -108,45 +108,46 @@ def cross_r_printed(n: int, r: int) -> IntPolynomial:
     return rbell_poly(n, r - 1) - (r - 1) * rbell_poly(n - 1, r - 1)
 
 
-@lru_cache(maxsize=64)
-def _bell_binomial_row(n: int) -> tuple[int, ...]:
-    """C(n, k) B_k for k = 0..n, with the ordinary Bell numbers B_k each the
-    sum of its r-Stirling row (r = 0).  Sixty-four rows, like the r-Stirling
-    row cache, cover every n the Carlitz checks revisit."""
-    return tuple(math.comb(n, k) * rbell_number(k, 0) for k in range(n + 1))
-
-
-def _rbell_from_bell_numbers(n: int, s: int) -> int:
-    """B_{n,s} = sum_k C(n, k) s^(n-k) B_k, by Horner's rule in s."""
+def _horner(coeffs: list[int], s: int) -> int:
+    """sum_k coeffs[k] s^(d-k), d = len(coeffs) - 1, by Horner's rule."""
     acc = 0
-    for c in _bell_binomial_row(n):
+    for c in coeffs:
         acc = acc * s + c
     return acc
 
 
-def carlitz_compose(n: int, m: int, r: int) -> int:
-    """Carlitz's composition sum_{j=0..m} {m+r, j+r}_r B_{n,r+j}, with each
-    B_{n,r+j} from the binomial sum over the ordinary Bell numbers.
+def carlitz_compositions(n: int, m_max: int, r: int) -> list[int]:
+    """Carlitz's compositions sum_{j=0..m} {m+r, j+r}_r B_{n,r+j}, m = 0..m_max;
+    contract: entry m equals rbell_number(n + m, r).  Each B_{n,r+j} is
+    computed once, as B_{n,s} = sum_k C(n, k) s^(n-k) B_k over the Bell
+    numbers B_k, each the sum of its r-Stirling row."""
+    _check_natural(n=n, m_max=m_max, r=r)
+    weights = [math.comb(n, k) * sum(stirling_row(2, k, 0)) for k in range(n + 1)]
+    values = [_horner(weights, r + j) for j in range(m_max + 1)]  # B_{n,r+j}
+    return [sum(map(mul, stirling_row(2, m + r, r), values)) for m in range(m_max + 1)]
 
-    Contract: equals rbell_number(n + m, r).
-    """
-    _check_natural(n=n, m=m, r=r)
-    row = stirling_row(2, m + r, r)
-    return sum(s * _rbell_from_bell_numbers(n, r + j) for j, s in enumerate(row))
+
+def carlitz_compose(n: int, m: int, r: int) -> int:
+    """The last entry of :func:`carlitz_compositions`."""
+    return carlitz_compositions(n, m, r)[-1]
+
+
+def carlitz_inversions(n: int, m_max: int, r: int) -> list[int]:
+    """Carlitz's inversions sum_{j=0..m} (-1)^(m-j) [m+r, j+r]_r B_{n+j,r},
+    m = 0..m_max, each B_{n+j,r} computed once as in carlitz_compositions;
+    contract: entry m equals rbell_number(n, r + m)."""
+    _check_natural(n=n, m_max=m_max, r=r)
+    bells = [sum(stirling_row(2, k, 0)) for k in range(n + m_max + 1)]
+    signed = [  # (-1)^j B_{n+j,r}
+        (-1) ** j * _horner([math.comb(n + j, k) * bells[k] for k in range(n + j + 1)], r)
+        for j in range(m_max + 1)
+    ]
+    return [(-1) ** m * sum(map(mul, stirling_row(1, m + r, r), signed)) for m in range(m_max + 1)]
 
 
 def carlitz_inverse(n: int, m: int, r: int) -> int:
-    """Carlitz's inversion sum_{j=0..m} (-1)^(m-j) [m+r, j+r]_r B_{n+j,r},
-    with each B_{n+j,r} from the binomial sum over the ordinary Bell numbers.
-
-    Contract: equals rbell_number(n, r + m).
-    """
-    _check_natural(n=n, m=m, r=r)
-    total = 0
-    for j, s in enumerate(stirling_row(1, m + r, r)):
-        term = s * _rbell_from_bell_numbers(n + j, r)
-        total += term if (m - j) % 2 == 0 else -term
-    return total
+    """The last entry of :func:`carlitz_inversions`."""
+    return carlitz_inversions(n, m, r)[-1]
 
 
 def whitehead_step(n: int, r: int) -> int:

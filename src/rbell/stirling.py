@@ -33,13 +33,12 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-# Rows kept for reuse, least recently used evicted first: one entry per
-# (kind, n, r), holding the widest prefix of that row built so far.
+# The package's only cache: rows kept for reuse, least recently used evicted
+# first, one entry per (kind, n, r) holding the widest prefix built so far.
 # Sixty-four rows cap what a long-lived process holds; they do not hold every
 # row a verify suite revisits (one definitions check reads 117 rows at the
-# default grid).  A miss mostly costs one step from row n-1: over
-# `verify --suite definitions`, 935 row requests gave 322 exact hits, 515
-# builds from row n-1 and 98 from row r.
+# default grid).  Over `verify --suite definitions`, 935 row requests gave
+# 322 exact hits, 515 builds from row n-1 and 98 from row r.
 _ROW_CACHE_SIZE = 64
 _rows: OrderedDict[tuple[int, int, int], tuple[int, ...]] = OrderedDict()
 
@@ -50,16 +49,15 @@ def stirling_row(kind: int, n: int, r: int, width: int | None = None) -> tuple[i
     the row is empty when n < r.  With a width, only the first width entries
     (columns r..r+width-1) are built and returned.
 
-    Rows are built iteratively from the nearest cached row of the same kind
-    and r below n that is wide enough (or from row r = (1,)), by
+    Rows are built iteratively from row n-1 of the same kind and r when it
+    is cached and wide enough, and from row r = (1,) otherwise, by
 
         {m+1, r+j}_r = (r+j) {m, r+j}_r + {m, r+j-1}_r
         [m+1, r+j]_r =   m   [m, r+j]_r + [m, r+j-1]_r.
 
     Both are lower-triangular in j, so each step is truncated to the width.
-    Only the requested row is cached, one entry per (kind, n, r) holding the
-    widest prefix built so far; it serves every request no wider.  A request
-    wider than the cached prefix builds the full row, so a row is built at
+    Only the requested row is cached; its widest prefix serves every request
+    no wider, and a wider request builds the full row, so a row is built at
     most twice: once narrow, once full.
     """
     key = (kind, n, r)
@@ -84,13 +82,9 @@ def stirling_row(kind: int, n: int, r: int, width: int | None = None) -> tuple[i
 
 def _build_row(kind: int, n: int, r: int, width: int) -> tuple[int, ...]:
     """The first width entries of row n >= r, built and cached."""
-    # probing down from n - 1 costs at most one lookup per step it saves
-    m, row = r, (1,)
-    for below in range(n - 1, r, -1):
-        kept = _rows.get((kind, below, r))
-        if kept is not None and len(kept) >= min(width, below - r + 1):
-            m, row = below, kept
-            break
+    m, row = n - 1, _rows.get((kind, n - 1, r))
+    if row is None or len(row) < min(width, n - r):
+        m, row = r, (1,)
     if len(row) > width:
         row = row[:width]
     while m < n:

@@ -8,7 +8,9 @@ from rbell.algebra import IntPolynomial
 from rbell.bell import (
     bell_poly,
     carlitz_compose,
+    carlitz_compositions,
     carlitz_inverse,
+    carlitz_inversions,
     cross_r_printed,
     cross_r_step,
     rbell_from_bell,
@@ -143,6 +145,18 @@ def test_carlitz_inverse():
         for n in range(0, 8):
             for m in range(0, 8 - n):
                 assert carlitz_inverse(n, m, r) == rbell_number(n, r + m)
+
+
+def test_carlitz_lists_hold_every_m_and_end_in_the_point_values():
+    for r in range(7):
+        for n in range(21):
+            m_max = 20 - n
+            compositions = carlitz_compositions(n, m_max, r)
+            inversions = carlitz_inversions(n, m_max, r)
+            assert compositions == [rbell_number(n + m, r) for m in range(m_max + 1)]
+            assert inversions == [rbell_number(n, r + m) for m in range(m_max + 1)]
+            assert carlitz_compose(n, m_max, r) == compositions[-1]
+            assert carlitz_inverse(n, m_max, r) == inversions[-1]
 
 
 def test_carlitz_roundtrip():

@@ -267,6 +267,18 @@ def test_limits_exit_2_without_a_traceback(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+# Grids that once ended early: sin-moment's float n! past n = 170, and the
+# ogf samples z = 1/50 and 1/100 once they are poles of the generating function.
+@pytest.mark.parametrize("suite, nmax, checks", [("integral", 171, 3), ("ogf", 50, 2)])
+def test_verify_past_float_factorials_and_sample_poles(capsys, suite, nmax, checks):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--nmax", str(nmax), "--rmax", "0")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == checks + 1
+    assert all(line.endswith(": PASS") for line in lines[:-1])
+    assert lines[-1] == f"{checks} passed, 0 known-errata, 0 failed"
+
+
 def test_integral_encloses_r_plus_one_at_n_1(capsys):
     # B_{1,r} = r + 1; from r = 25 the forms' rounding once tripped the in-route check
     for r in range(31):

@@ -305,12 +305,13 @@ FAIL_CASES = [
         id="cross-r-printed-form",
     ),
     pytest.param(
-        "carlitz", G, {"carlitz_compose": _at((1, 2, 2), _plus(1))},
+        # G's n + m <= 4 gives n = 1 the list m = 0..3; entry 2 is m = 2
+        "carlitz", G, {"carlitz_compositions": _at((1, 3, 2), _entry(2, _plus(1)))},
         _fail("carlitz-compose", "(n=1, m=2, r=2): 38 vs B = 37"),
         id="carlitz-compose",
     ),
     pytest.param(
-        "carlitz", G, {"carlitz_inverse": _at((2, 1, 1), _plus(1))},
+        "carlitz", G, {"carlitz_inversions": _at((2, 2, 1), _entry(1, _plus(1)))},
         _fail("carlitz-inverse", "(n=2, m=1, r=1): 11 vs B = 10"),
         id="carlitz-inverse",
     ),
@@ -523,9 +524,9 @@ def test_oracle_monotonicity_sees_only_totals_before_the_first_mismatch(monkeypa
 
 
 def test_carlitz_scan_builds_one_table_and_each_inverse_once(monkeypatch):
-    # the default grid has 7 * 66 points (r <= 6, n + m <= 10); the inverse
-    # values serve both the inverse and the roundtrip check
-    calls = {"carlitz_inverse": 0, "rbell_table": 0}
+    # the default grid has 7 * 11 pairs (r <= 6, n <= 10), each reading one
+    # list of inversions, which serves both the inverse and the roundtrip check
+    calls = {"carlitz_inversions": 0, "rbell_table": 0}
 
     def counting(name):
         def make(original):
@@ -540,14 +541,14 @@ def test_carlitz_scan_builds_one_table_and_each_inverse_once(monkeypatch):
     patches = {name: counting(name) for name in calls}
     results = _run_patched(monkeypatch, patches, lambda: run_suite("carlitz"))
     assert all(check.status == "PASS" for check in results)
-    assert calls == {"carlitz_inverse": 462, "rbell_table": 1}
+    assert calls == {"carlitz_inversions": 77, "rbell_table": 1}
 
 
 def test_carlitz_checks_keep_their_own_first_counterexample(monkeypatch):
     # one scan compares all three checks; a wrong value one check reads does
     # not end the others
     patches = {
-        "carlitz_compose": _at((1, 2, 2), _plus(1)),
+        "carlitz_compositions": _at((1, 3, 2), _entry(2, _plus(1))),
         "stirling_row": _at((2, 3, 1), _entry(2, _plus(1))),
     }
     results = _run_patched(monkeypatch, patches, lambda: run_suite("carlitz", *G))
@@ -556,6 +557,34 @@ def test_carlitz_checks_keep_their_own_first_counterexample(monkeypatch):
         CheckResult("carlitz-inverse", "PASS"),
         _fail("carlitz-roundtrip", "(n=0, m=2, r=1): 6 vs 5"),
     ]
+
+
+def test_compelling_identity_reports_a_quadrature_error(monkeypatch, capsys):
+    # cesaro_integral raises at (3, 1) on every call: both checks that call it
+    # report the error as their counterexample, and the report stays whole
+    def make(original):
+        def fake(*args):
+            if args[:2] == (3, 1):
+                raise ConvergenceError("refinement cap")
+            return original(*args)
+
+        return fake
+
+    patches = {"cesaro_integral": make}
+    expected = [
+        _fail("cesaro-integral", "(n=3, r=1): refinement cap"),
+        CheckResult("sin-moment", "PASS"),
+        _fail("compelling-identity", "(n=3, r=1): refinement cap"),
+    ]
+    assert _run_patched(monkeypatch, patches, lambda: run_suite("integral", *G)) == expected
+    argv = ["verify", "--suite", "integral", *_grid_flags(*G)]
+    assert _run_patched(monkeypatch, patches, lambda: main(argv)) == 1
+    assert capsys.readouterr().out == (
+        "cesaro-integral: FAIL ((n=3, r=1): refinement cap)\n"
+        "sin-moment: PASS\n"
+        "compelling-identity: FAIL ((n=3, r=1): refinement cap)\n"
+        "1 passed, 0 known-errata, 2 failed\n"
+    )
 
 
 def test_cigler_zero_minor_is_a_counterexample(monkeypatch, capsys):
