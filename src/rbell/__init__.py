@@ -41,6 +41,7 @@ from .bell import (
     rbell_number,
     rbell_poly,
     rbell_poly_rec,
+    rbell_polys_from_bell,
     rbell_polys_rec,
     rbell_table,
     whitehead_row_sum,
@@ -114,6 +115,7 @@ __all__ = [
     "rbell_number",
     "rbell_poly",
     "rbell_poly_rec",
+    "rbell_polys_from_bell",
     "rbell_polys_rec",
     "rbell_table",
     "real_rootedness_report",

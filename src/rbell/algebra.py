@@ -246,8 +246,12 @@ class ApproxReal(_Approx):
         return cls(*iterable)
 
     def encloses(self, exact: Scalar) -> bool:
-        """Exact-rational membership test of ``exact`` in the certified interval."""
-        return abs(Fraction(self.value) - Fraction(exact)) <= Fraction(self.err)
+        """Exact-rational membership test of ``exact`` in the certified
+        interval, by cross-multiplied integer ratios."""
+        vn, vd = self.value.as_integer_ratio()
+        en, ed = self.err.as_integer_ratio()
+        xn, xd = exact.as_integer_ratio()
+        return abs(vn * xd - xn * vd) * ed <= en * vd * xd
 
 
 def pochhammer(x: Scalar, n: int) -> Fraction:

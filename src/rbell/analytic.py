@@ -9,10 +9,12 @@ Each numeric scheme is written once:
   over a running common denominator, stopped by an exact comparison of
   cross-multiplied integers, and converted to float only at the very end
   (`_to_float`), so the reported error bound is a provable geometric tail
-  bound plus the exactly computed float representation error.
+  bound plus the exactly computed float representation error.  The
+  conversion and its error bound run on integer numerators over one
+  denominator; no Fraction is built and no gcd is taken.
 - The e^{-x} factors of `dobinski_eval` and `kummer_residual` share one
   error-propagation block (`_times_exp_neg`), which relies on libm's exp
-  being within a few ulp.
+  being within a few ulp and returns its bound as an integer ratio.
 - Where every term is positive, both series stop with DomainError as soon
   as a partial sum passes 2^1024, which the bit lengths of its numerator and
   denominator show (`_check_partial_sum`); otherwise, and just above the
@@ -45,25 +47,23 @@ _TWO_E_UPPER = Fraction(543657, 100000)
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
-# relative slack allowed to one libm exp call plus float argument conversion
-def _exp_rel_bound(xf: float) -> Fraction:
-    return (Fraction(abs(xf)) + 4) * Fraction(23, 10**17)
-
-
-def _float_upper(q: Fraction) -> float:
-    """Smallest float >= q (q nonnegative)."""
-    f = float(q)
-    if Fraction(f) < q:
+def _float_upper(num: int, den: int) -> float:
+    """Smallest float >= num / den (num >= 0, den > 0)."""
+    f = num / den  # int true division rounds correctly
+    fn, fd = f.as_integer_ratio()
+    if fn * den < num * fd:
         f = math.nextafter(f, math.inf)
     return f
 
 
-def _to_float(total: Fraction, tail: Fraction, what: str) -> ApproxReal:
-    """total rounded to a float, its err the tail bound plus the exact rounding
-    error; a total past the float range raises DomainError naming what."""
+def _to_float(num: int, den: int, tail: int, what: str) -> ApproxReal:
+    """num / den (den > 0) rounded to a float, its err the tail bound
+    tail / den plus the exact rounding error, all in integers; a value past
+    the float range raises DomainError naming what."""
     try:
-        value = float(total)
-        return ApproxReal(value, _float_upper(tail + abs(Fraction(value) - total)))
+        value = num / den
+        vn, vd = value.as_integer_ratio()
+        return ApproxReal(value, _float_upper(tail * vd + abs(vn * den - num * vd), den * vd))
     except OverflowError:
         raise DomainError(f"{what} exceeds the float range") from None
 
@@ -78,15 +78,23 @@ def _check_partial_sum(num: int, den: int, what: str) -> None:
         raise DomainError(f"{what} exceeds the float range")
 
 
-def _times_exp_neg(s: ApproxReal, x: Fraction) -> tuple[float, Fraction]:
-    """e^{-x} s as a float, with an exact bound on its error: the error of s
-    scaled by e^{-x}, the slack of libm's exp, and the product's rounding."""
+def _times_exp_neg(s: ApproxReal, x: Fraction) -> tuple[float, tuple[int, int]]:
+    """e^{-x} s as a float, with an exact bound on its error as an integer
+    ratio: the error of s scaled by e^{-x}, the slack d of libm's exp, and the
+    product's rounding.  d = (|x| + 4) 23 / 10^17 is the relative slack
+    allowed to one libm exp call plus the float argument conversion."""
     xf = float(x)
     w = math.exp(-xf)
     value = s.value * w
-    d = _exp_rel_bound(xf)
-    err = Fraction(w) * (Fraction(s.err) * (1 + d) + Fraction(abs(s.value)) * d)
-    return value, err + Fraction(math.ulp(value))
+    an, ad = abs(xf).as_integer_ratio()
+    dn, dd = (an + 4 * ad) * 23, ad * 10**17
+    wn, wd = w.as_integer_ratio()
+    sn, sd = s.err.as_integer_ratio()
+    vn, vd = abs(s.value).as_integer_ratio()
+    un, ud = math.ulp(value).as_integer_ratio()
+    den = wd * sd * vd * dd
+    num = wn * (sn * vd * (dd + dn) + vn * sd * dn)
+    return value, (num * ud + un * den, den * ud)
 
 
 def _check_tol(tol: float) -> Fraction:
@@ -138,7 +146,7 @@ def dobinski_series_sum(n: int, r: int, x, tol: float) -> ApproxReal:
         _check_partial_sum(num, den, what)
         k += 1
 
-    return _to_float(Fraction(num, den), Fraction(2 * term, den), what)
+    return _to_float(num, den, 2 * term, what)
 
 
 def dobinski_eval(n: int, r: int, x, tol: float) -> ApproxReal:
@@ -149,7 +157,7 @@ def dobinski_eval(n: int, r: int, x, tol: float) -> ApproxReal:
     at the tolerances the acceptance grid uses.
     """
     value, err = _times_exp_neg(dobinski_series_sum(n, r, x, tol), Fraction(x))
-    return ApproxReal(value, _float_upper(err))
+    return ApproxReal(value, _float_upper(*err))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +289,9 @@ def hypergeom_1f1(a, b, x, tol: float) -> ApproxReal:
             _check_partial_sum(num, den, what)
         k += 1
 
-    return _to_float(Fraction(num, den), Fraction(2 * abs(term), abs(den)), what)
+    if den < 0:
+        num, den = -num, -den
+    return _to_float(num, den, 2 * abs(term), what)
 
 
 def kummer_residual(a, b, x, tol: float) -> ApproxReal:
@@ -293,10 +303,12 @@ def kummer_residual(a, b, x, tol: float) -> ApproxReal:
     left = hypergeom_1f1(aq, bq, xq, tol)
     right = hypergeom_1f1(bq - aq, bq, -xq, tol)
 
-    lhs_value, lhs_err = _times_exp_neg(left, xq)
+    lhs_value, (num, den) = _times_exp_neg(left, xq)
     value = abs(lhs_value - right.value)
-    bound = lhs_err + Fraction(right.err) + Fraction(math.ulp(max(value, abs(lhs_value))))
-    return ApproxReal(value, _float_upper(bound))
+    for term in (right.err, math.ulp(max(value, abs(lhs_value)))):
+        tn, td = term.as_integer_ratio()
+        num, den = num * td + tn * den, den * td
+    return ApproxReal(value, _float_upper(num, den))
 
 
 # ---------------------------------------------------------------------------
@@ -684,13 +696,13 @@ def _trapezoid(
         if need <= bits:
             break
         bits = need
+    an, ad = alias.as_integer_ratio()  # the aliasing bound as a dyadic
     for _ in range(_MAX_DOUBLINGS + 1):
         total, total_err = _fixed_pass(n, a, b, m_count, bits, label)
         g, g_err = fx_gamma(bits)
-        den = m_count << (2 * bits)
-        exact = Fraction(factor * g * total, den)
-        tail = Fraction(factor * ((abs(g) + g_err) * total_err + abs(total) * g_err), den)
-        result = _to_float(exact, tail + Fraction(alias), f"the integral at {label}")
+        den = m_count << (2 * bits)  # the value's denominator, times ad below
+        tail = factor * ((abs(g) + g_err) * total_err + abs(total) * g_err) * ad + an * den
+        result = _to_float(factor * g * total * ad, den * ad, tail, f"the integral at {label}")
         if result.err <= target(result.value):
             return result, m_count
         bits *= 2

@@ -67,16 +67,29 @@ def bell_poly(n: int) -> IntPolynomial:
     return rbell_poly(n, 0)
 
 
-def rbell_from_bell(n: int, r: int) -> IntPolynomial:
-    """B_{n,r}(x) as a binomial sum of ordinary Bell polynomials:
+def rbell_polys_from_bell(n_max: int, r: int) -> list[IntPolynomial]:
+    """B_{0,r}(x), ..., B_{n_max,r}(x), each as a binomial sum of ordinary
+    Bell polynomials
 
-        B_{n,r}(x) = sum_k r^k C(n, k) B_{n-k}(x).
+        B_{n,r}(x) = sum_k r^k C(n, k) B_{n-k}(x),
+
+    with B_0(x), ..., B_{n_max}(x) built once.
     """
-    _check_natural(n=n, r=r)
-    acc = IntPolynomial()
-    for k in range(n + 1):
-        acc = acc + (r**k * binomial(n, k)) * bell_poly(n - k)
-    return acc
+    _check_natural(n_max=n_max, r=r)
+    bells = [bell_poly(m) for m in range(n_max + 1)]
+    polys = []
+    for n in range(n_max + 1):
+        acc = IntPolynomial()
+        for k in range(n + 1):
+            acc = acc + (r**k * binomial(n, k)) * bells[n - k]
+        polys.append(acc)
+    return polys
+
+
+def rbell_from_bell(n: int, r: int) -> IntPolynomial:
+    """B_{n,r}(x) as a binomial sum of ordinary Bell polynomials: the last of
+    :func:`rbell_polys_from_bell`."""
+    return rbell_polys_from_bell(n, r)[-1]
 
 
 def cross_r_step(n: int, r: int) -> IntPolynomial:

@@ -6,7 +6,8 @@ function that scans its grid, the default nmax and rmax, and any cap on
 them.  A check function returns its first counterexample as a string, or
 None; the runner turns that into a ``CheckResult``.  A row named None
 reports its own list of results: the erratum, the two oracle checks from one
-enumeration, and the three Carlitz checks from one scan.  Each check scans
+enumeration, the three Carlitz checks from one scan, and the three integral
+checks, two of them from one quadrature per point.  Each check scans
 its grid in a fixed order and keeps its first counterexample, so reports
 are deterministic.  The one expected failure is the frequently printed
 simplified form of the cross-r polynomial recurrence, which is reported as
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .algebra import IntPolynomial
+from .algebra import ApproxReal, IntPolynomial
 from .analytic import (
     cesaro_integral,
     dobinski_eval,
@@ -38,9 +39,9 @@ from .bell import (
     carlitz_inversions,
     cross_r_printed,
     cross_r_step,
-    rbell_from_bell,
     rbell_number,
     rbell_poly,
+    rbell_polys_from_bell,
     rbell_polys_rec,
     rbell_table,
     whitehead_row_sum,
@@ -205,13 +206,15 @@ def _horizontal(nmax: int, rmax: int) -> str | None:
 
 def _route_agreement(nmax: int, rmax: int) -> str | None:
     for r in range(rmax + 1):
-        # one walk of the derivative recurrence serves every n of this r
+        # one walk of the derivative recurrence and one set of ordinary Bell
+        # polynomials serve every n of this r
         recurrence = rbell_polys_rec(nmax, r)
+        expansion = rbell_polys_from_bell(nmax, r)
         for n in range(nmax + 1):
             direct = rbell_poly(n, r)
             routes = {
                 "derivative recurrence": recurrence[n],
-                "Bell expansion": rbell_from_bell(n, r),
+                "Bell expansion": expansion[n],
             }
             if r >= 1:
                 routes["cross-r division"] = cross_r_step(n, r)
@@ -398,30 +401,31 @@ def _cigler(nmax: int, rmax: int) -> str | None:
 
 def _dobinski(nmax: int, rmax: int) -> str | None:
     tol = 1e-9
+    tn, td = tol.as_integer_ratio()
     for n, r in _points(nmax, rmax):
         for x in (Fraction(1, 2), Fraction(1), Fraction(2)):
             approx = dobinski_eval(n, r, x, tol)
             exact = rbell_poly(n, r)(x)
             if not approx.encloses(exact):
                 return f"(n={n}, r={r}, x={x}): {approx!r} does not enclose {exact}"
-            if Fraction(approx.err) > Fraction(tol) * max(Fraction(1), exact):
+            # err > tol * max(1, exact), cross-multiplied in integers
+            en, ed = approx.err.as_integer_ratio()
+            xn, xd = exact.as_integer_ratio()
+            if en * td * xd > tn * ed * max(xd, xn):
                 return f"(n={n}, r={r}, x={x}): err {approx.err} above tol * max(1, exact)"
     return None
 
 
-def _cesaro(nmax: int, rmax: int) -> str | None:
-    for n, r in _points(nmax, rmax, n_from=1):
-        exact = rbell_number(n, r)
-        try:
-            quad = cesaro_integral(n, r, 1e-8)
-        except (InconsistencyError, ConvergenceError) as exc:
-            return f"(n={n}, r={r}): {exc}"
-        if not quad.value.encloses(exact):
-            return f"(n={n}, r={r}): {quad.value.value!r} vs exact {exact}"
-    return None
+def _quadrature(n: int, r: int) -> ApproxReal | str:
+    """cesaro_integral(n, r, 1e-8)'s value, or the text of its quadrature
+    error; a DomainError propagates."""
+    try:
+        return cesaro_integral(n, r, 1e-8).value
+    except (InconsistencyError, ConvergenceError) as exc:
+        return str(exc)
 
 
-def _sin_moment(nmax: int, rmax: None) -> str | None:
+def _sin_moment(nmax: int) -> str | None:
     for j in range(7):
         for n in range(1, nmax + 1):
             approx = sin_moment(j, n, 1e-8)
@@ -434,20 +438,56 @@ def _sin_moment(nmax: int, rmax: None) -> str | None:
     return None
 
 
-def _compelling_identity(nmax: int, rmax: int) -> str | None:
-    # the bare series sum_k (k+r)^n / k! equals e times the scaled integral
-    for n, r in _points(nmax, rmax, n_from=1):
-        raw = dobinski_series_sum(n, r, 1, 1e-9)
+def _integral(nmax: tuple[int, int], rmax: int) -> list[CheckResult]:
+    """Three checks in report order.  cesaro-integral and compelling-identity
+    share one pass that computes each quadrature once and keeps nothing past
+    its point: cesaro-integral compares it with rbell_number, and
+    compelling-identity compares e times it with the bare Dobinski series
+    sum_k (k+r)^n / k!.  A quadrature error is the counterexample of both,
+    and each keeps its own first counterexample.  sin-moment runs on its own
+    grid, n <= nmax[1].
+
+    Errors surface in the order of separate scans: one met while computing
+    for cesaro-integral ends the run at once, one met only for
+    compelling-identity closes that check and is raised after sin-moment."""
+    names = ("cesaro-integral", "compelling-identity")
+    first = {}  # check name -> its first counterexample
+    deferred = None
+    for n, r in _points(nmax[0], rmax, n_from=1):
+        cesaro = names[0] not in first
+        compelling = names[1] not in first and deferred is None
+        if not (cesaro or compelling):
+            break
+        where = f"(n={n}, r={r}): "
+        quad = None
+        if cesaro:
+            exact = rbell_number(n, r)
+            quad = _quadrature(n, r)
+            if isinstance(quad, str):
+                first[names[0]] = where + quad
+            elif not quad.encloses(exact):
+                first[names[0]] = f"{where}{quad.value!r} vs exact {exact}"
+        if not compelling:
+            continue
         try:
-            quad = cesaro_integral(n, r, 1e-8)
-        except (InconsistencyError, ConvergenceError) as exc:
-            return f"(n={n}, r={r}): {exc}"
+            raw = dobinski_series_sum(n, r, 1, 1e-9)
+            if quad is None:
+                quad = _quadrature(n, r)
+        except DomainError as exc:
+            deferred = exc
+            continue
+        if isinstance(quad, str):
+            first[names[1]] = where + quad
+            continue
         lhs = raw.value
-        rhs = math.e * quad.value.value
-        allowance = raw.err + math.e * quad.value.err + 1e-12 * max(1.0, abs(lhs))
+        rhs = math.e * quad.value
+        allowance = raw.err + math.e * quad.err + 1e-12 * max(1.0, abs(lhs))
         if abs(lhs - rhs) > allowance:
-            return f"(n={n}, r={r}): |{lhs!r} - {rhs!r}| above {allowance!r}"
-    return None
+            first[names[1]] = f"{where}|{lhs!r} - {rhs!r}| above {allowance!r}"
+    sin_result = _result("sin-moment", _sin_moment(nmax[1]))
+    if deferred is not None:
+        raise deferred
+    return [_result(names[0], first.get(names[0])), sin_result, _result(names[1], first.get(names[1]))]
 
 
 def _ogf(mmax: int, rmax: int) -> str | None:
@@ -553,19 +593,20 @@ class _Check(NamedTuple):
     """One check: its suite, its name (None when the check reports its own
     results), its scan, and its grid.  nmax and rmax are the defaults the
     user's --nmax/--rmax replace, None for an axis the check does not scan;
-    n_cap bounds the resolved nmax."""
+    a row that reports checks on different n grids has a tuple of nmax
+    defaults, each resolved alone.  n_cap bounds the resolved nmax."""
 
     suite: str
     name: str | None
     scan: Callable
-    nmax: int | None
+    nmax: int | tuple[int, ...] | None
     rmax: int | None
     n_cap: int | None = None
 
 
 # Rows are in report order; a suite's rows are contiguous.  A row named None
 # reports its own results: one for the erratum, two for the oracle and three
-# for carlitz.
+# each for carlitz and integral.
 _CHECKS = (
     _Check("definitions", "explicit-formula", _explicit_formula, 12, 8),
     _Check("definitions", "stirling-row-sums", _row_sums, 12, 8),
@@ -591,9 +632,7 @@ _CHECKS = (
     # 0.015-0.026 s (Python 3.11, 2 vCPUs, cold process).
     _Check("cigler", "cigler-determinants", _cigler, 5, 4, n_cap=6),
     _Check("dobinski", "dobinski-enclosure", _dobinski, 15, 6),
-    _Check("integral", "cesaro-integral", _cesaro, 8, 4),
-    _Check("integral", "sin-moment", _sin_moment, 6, None),
-    _Check("integral", "compelling-identity", _compelling_identity, 8, 4),
+    _Check("integral", None, _integral, (8, 6), 4),
     _Check("ogf", "ogf-coefficient-pair", _ogf, 10, 6),
     _Check("ogf", "egf-coefficients", _egf, 12, 6),
     _Check("kummer", "kummer-transformation", _kummer, None, None),
@@ -603,9 +642,11 @@ _CHECKS = (
 )
 
 
-def _axis(default: int | None, given: int | None, cap: int | None = None) -> int | None:
+def _axis(default, given: int | None, cap: int | None = None):
     if default is None:
         return None
+    if isinstance(default, tuple):
+        return tuple(_axis(d, given, cap) for d in default)
     value = default if given is None else given
     return value if cap is None else min(value, cap)
 

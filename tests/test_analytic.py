@@ -3,12 +3,14 @@
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 from rbell import analytic
+from rbell.algebra import ApproxReal
 from rbell.analytic import (
     cesaro_integral,
     cesaro_integrand_forms,
@@ -461,6 +463,144 @@ def test_kummer_residual():
     for a, b, x in [(1, 2, 1), (Fraction(1, 2), Fraction(3, 2), 1), (2, 3, -2)]:
         res = kummer_residual(a, b, x, 1e-10)
         assert res.value <= res.err + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# float conversion and error bounds in integers: bit for bit the Fraction
+# formulas they replace
+
+
+def _fraction_float_upper(q: Fraction) -> float:
+    f = float(q)
+    if Fraction(f) < q:
+        f = math.nextafter(f, math.inf)
+    return f
+
+
+def _fraction_to_float(num, den, tail, what):
+    total = Fraction(num, den)
+    try:
+        value = float(total)
+        return ApproxReal(
+            value, _fraction_float_upper(Fraction(tail, den) + abs(Fraction(value) - total))
+        )
+    except OverflowError:
+        raise DomainError(f"{what} exceeds the float range") from None
+
+
+def _fraction_times_exp_neg(s, x):
+    xf = float(x)
+    w = math.exp(-xf)
+    value = s.value * w
+    d = (Fraction(abs(xf)) + 4) * Fraction(23, 10**17)
+    err = Fraction(w) * (Fraction(s.err) * (1 + d) + Fraction(abs(s.value)) * d)
+    err += Fraction(math.ulp(value))
+    return value, (err.numerator, err.denominator)
+
+
+def _fraction_kummer_residual(a, b, x, tol):
+    left = hypergeom_1f1(a, b, x, tol)
+    right = hypergeom_1f1(Fraction(b) - Fraction(a), b, -Fraction(x), tol)
+    lhs_value, lhs_err = _fraction_times_exp_neg(left, Fraction(x))
+    value = abs(lhs_value - right.value)
+    bound = Fraction(*lhs_err) + Fraction(right.err)
+    bound += Fraction(math.ulp(max(value, abs(lhs_value))))
+    return ApproxReal(value, _fraction_float_upper(bound))
+
+
+def _outcome(call, *args):
+    """(value, err) as hex strings, or the DomainError text."""
+    try:
+        got = call(*args)
+    except DomainError as exc:
+        return str(exc)
+    return got.value.hex(), got.err.hex()
+
+
+def _numeric_outcomes(kummer) -> list:
+    rng = random.Random(21)
+    xs = [Fraction(1, 3), Fraction(1, 2), 1, 2, Fraction(5, 2), Fraction(37, 4), Fraction(1, 1000)]
+    tols = [0.5, 1e-3, 1e-9, 1e-12, 1e-15]
+    out = []
+    for _ in range(150):
+        args = (rng.randrange(60), rng.randrange(12), rng.choice(xs), rng.choice(tols))
+        out.append(_outcome(dobinski_eval, *args))
+        out.append(_outcome(dobinski_series_sum, *args))
+    # past the float range: a term, a sum, the second term, and e^-x times a
+    # sum just inside
+    for args in [(200, 3, 5, 1e-12), (219, 0, 1, 1e-9), (1, 0, 10**305, 1e-9), (0, 0, 709, 1e-9)]:
+        out.append(_outcome(dobinski_eval, *args))
+        out.append(_outcome(dobinski_series_sum, *args))
+    avals = [Fraction(1, 2), 1, 2, Fraction(-3, 2), -2, Fraction(7, 3)]
+    # b = -5/2 and -1/3 make the running denominator negative
+    bvals = [Fraction(3, 2), 2, 3, Fraction(-5, 2), Fraction(-1, 3), Fraction(1, 7)]
+    xvals = [-2, Fraction(-1, 2), Fraction(1, 2), 2, 10, -30, 0]
+    for _ in range(150):
+        args = (rng.choice(avals), rng.choice(bvals), rng.choice(xvals), rng.choice(tols[1:]))
+        out.append(_outcome(hypergeom_1f1, *args))
+        out.append(_outcome(kummer, *args))
+    for args in [(1, 1, 710), (Fraction(-1, 2), 1, 760), (1, 1, 709), (1, 1, -1000)]:
+        out.append(_outcome(hypergeom_1f1, *args, 1e-9))
+    return out
+
+
+def test_integer_conversion_matches_the_fraction_formulas(monkeypatch):
+    got = _numeric_outcomes(kummer_residual)
+    with monkeypatch.context() as m:
+        m.setattr(analytic, "_to_float", _fraction_to_float)
+        m.setattr(analytic, "_float_upper", lambda num, den: _fraction_float_upper(Fraction(num, den)))
+        m.setattr(analytic, "_times_exp_neg", _fraction_times_exp_neg)
+        want = _numeric_outcomes(_fraction_kummer_residual)
+    assert got == want
+    assert sum(isinstance(o, str) for o in got) >= 5  # the overflow cases ran
+
+
+def test_float_upper_rounds_up_exactly():
+    big = 2**200
+    tiny = 2.0**-1074
+    floats = [0.0, tiny, 3 * tiny, 2.0**-1022, 0.1, 1.0, 1 / 3, 1e300, 2.0**1023, sys.float_info.max]
+    for f in floats:
+        num, den = f.as_integer_ratio()
+        assert analytic._float_upper(num, den) == f
+        assert analytic._float_upper(7 * num, 7 * den) == f
+        if f:  # one unit above f, far below half its ulp: the next float up
+            assert analytic._float_upper(num * big + 1, den * big) == math.nextafter(f, math.inf)
+    # subnormal ratios: 2^-1075 rounds to 0, 3 * 2^-1076 rounds up to 2^-1074
+    for num, den in [(1, 2**1075), (3, 2**1076), (5, 2**1076), (1, 3 * 2**1070), (2**60 + 1, 2**1134)]:
+        want = _fraction_float_upper(Fraction(num, den))
+        assert analytic._float_upper(num, den) == want >= num / den
+    # near 2^1023 and past the float maximum
+    for num in [2**1023 - 1, 2**1023 + 1, 3 * 2**1022 + 1, 2**1024 - 2**970 - 1]:
+        assert analytic._float_upper(num, 1) == _fraction_float_upper(Fraction(num))
+    with pytest.raises(OverflowError):
+        analytic._float_upper(2**1024, 1)
+
+
+def test_encloses_is_exact_at_the_interval_ends():
+    a = ApproxReal(1.5, 0.25)
+    assert a.encloses(Fraction(7, 4)) and a.encloses(Fraction(5, 4))
+    assert a.encloses(1.75) and a.encloses(1.25)
+    assert not a.encloses(Fraction(7, 4) + Fraction(1, 10**30))
+    assert not a.encloses(Fraction(5, 4) - Fraction(1, 10**30))
+    assert not a.encloses(2) and ApproxReal(10.0, 0.5).encloses(10)
+    exact_zero = ApproxReal(0.1, 0.0)
+    assert exact_zero.encloses(0.1)
+    assert not exact_zero.encloses(Fraction(1, 10))  # 0.1 is not the float 0.1
+    assert not exact_zero.encloses(math.nextafter(0.1, 1.0))
+    assert ApproxReal(-3.0, 0.0).encloses(-3) and not ApproxReal(-3.0, 0.0).encloses(3)
+    ulp = ApproxReal(1.0, 2.0**-52)
+    assert ulp.encloses(1.0 + 2.0**-52) and not ulp.encloses(math.nextafter(1.0 + 2.0**-52, 2.0))
+    rng = random.Random(5)
+    for _ in range(500):
+        value = rng.uniform(-10, 10)
+        err = rng.choice([0.0, rng.uniform(0, 1), 2.0**-1074])
+        exact = rng.choice([
+            Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**5)),
+            rng.randrange(-11, 12),
+            value + rng.choice([-err, err, 0.0]),
+        ])
+        want = abs(Fraction(value) - Fraction(exact)) <= Fraction(err)
+        assert ApproxReal(value, err).encloses(exact) == want, (value, err, exact)
 
 
 def test_cesaro_integral_examples():

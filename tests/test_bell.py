@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from rbell import bell, verify
 from rbell.algebra import IntPolynomial
 from rbell.bell import (
     bell_poly,
@@ -17,6 +18,7 @@ from rbell.bell import (
     rbell_number,
     rbell_poly,
     rbell_poly_rec,
+    rbell_polys_from_bell,
     rbell_polys_rec,
     rbell_table,
     whitehead_row_sum,
@@ -88,6 +90,19 @@ def test_rbell_from_bell():
     for r in range(0, 7):
         for n in range(0, 11):
             assert rbell_from_bell(n, r) == rbell_poly(n, r)
+
+
+def test_rbell_polys_from_bell_builds_each_bell_polynomial_once(monkeypatch):
+    for r in range(5):
+        assert rbell_polys_from_bell(9, r) == [rbell_poly(n, r) for n in range(10)]
+    assert rbell_polys_from_bell(0, 3) == [IntPolynomial([1])]
+    with pytest.raises(DomainError):
+        rbell_polys_from_bell(-1, 0)
+    builds = []
+    monkeypatch.setattr(bell, "bell_poly", lambda n: builds.append(n) or rbell_poly(n, 0))
+    # route-agreement at --nmax 14 --rmax 9 reads B_0..B_14 once per r
+    assert verify._route_agreement(14, 9) is None
+    assert sorted(builds) == sorted(list(range(15)) * 10)
 
 
 def test_derivative_recurrence():

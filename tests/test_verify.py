@@ -587,6 +587,82 @@ def test_compelling_identity_reports_a_quadrature_error(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("grid, quadratures, moments", [((), 40, 42), ((14, 9), 140, 98)])
+def test_integral_scan_computes_each_quadrature_once(monkeypatch, grid, quadratures, moments):
+    # cesaro-integral and compelling-identity share one quadrature per point:
+    # n = 1..8, r = 0..4 on the default grid; sin-moment scans j <= 6 and
+    # n <= 6 by default, or the --nmax given
+    calls = {"cesaro_integral": 0, "sin_moment": 0}
+
+    def counting(name):
+        def make(original):
+            def fake(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return fake
+
+        return make
+
+    patches = {name: counting(name) for name in calls}
+    results = _run_patched(monkeypatch, patches, lambda: run_suite("integral", *grid))
+    assert results == [
+        CheckResult("cesaro-integral", "PASS"),
+        CheckResult("sin-moment", "PASS"),
+        CheckResult("compelling-identity", "PASS"),
+    ]
+    assert calls == {"cesaro_integral": quadratures, "sin_moment": moments}
+
+
+def _raise_at(point, exc):
+    def make(original):
+        def fake(*args):
+            if args[: len(point)] == point:
+                raise exc
+            return original(*args)
+
+        return fake
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "patches, message",
+    [
+        # a float-range error of the Dobinski series, which only
+        # compelling-identity reads, waits for the whole cesaro-integral scan
+        # and for sin-moment
+        (
+            {"dobinski_series_sum": _raise_at((2, 1), DomainError("series at (2, 1)")),
+             "cesaro_integral": _raise_at((3, 1), DomainError("integral at (3, 1)"))},
+            "integral at (3, 1)",
+        ),
+        (
+            {"dobinski_series_sum": _raise_at((2, 1), DomainError("series at (2, 1)")),
+             "sin_moment": _raise_at((5, 4), DomainError("moment at (5, 4)"))},
+            "moment at (5, 4)",
+        ),
+        (
+            {"dobinski_series_sum": _raise_at((2, 1), DomainError("series at (2, 1)"))},
+            "series at (2, 1)",
+        ),
+        # after cesaro-integral's first counterexample, compelling-identity
+        # reads the series before the quadrature
+        (
+            {"rbell_number": _at((1, 0), _plus(1)),
+             "dobinski_series_sum": _raise_at((2, 1), DomainError("series at (2, 1)")),
+             "cesaro_integral": _raise_at((2, 1), DomainError("integral at (2, 1)"))},
+            "series at (2, 1)",
+        ),
+    ],
+)
+def test_integral_errors_surface_in_scan_order(monkeypatch, capsys, patches, message):
+    argv = ["verify", "--suite", "integral", *_grid_flags(*G)]
+    assert _run_patched(monkeypatch, patches, lambda: main(argv)) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_cigler_zero_minor_is_a_counterexample(monkeypatch, capsys):
     # B_{0,1} read as 0 makes the k = 0 elimination meet a zero 1x1 minor
     zero_at = _at((0, 1), _const(IntPolynomial()))
