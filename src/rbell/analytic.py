@@ -34,13 +34,15 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections import deque
 from fractions import Fraction
+from itertools import islice, pairwise
 from typing import NamedTuple
 
 from .algebra import ApproxReal, pochhammer, sturm_root_count
-from .bell import rbell_number, rbell_poly
+from .bell import rbell_poly
 from .errors import ConvergenceError, DomainError, InconsistencyError
-from .stirling import _check_natural, stirling_row
+from .stirling import _check_natural, stirling_rows
 
 # rational upper bound for 2e, used by the Dobinski stopping rule
 _TWO_E_UPPER = Fraction(543657, 100000)
@@ -82,16 +84,20 @@ def _times_exp_neg(s: ApproxReal, x: Fraction) -> tuple[float, tuple[int, int]]:
     """e^{-x} s as a float, with an exact bound on its error as an integer
     ratio: the error of s scaled by e^{-x}, the slack d of libm's exp, and the
     product's rounding.  d = (|x| + 4) 23 / 10^17 is the relative slack
-    allowed to one libm exp call plus the float argument conversion."""
+    allowed to one libm exp call plus the float argument conversion.  An
+    e^{-x} or a product past the float range raises DomainError."""
     xf = float(x)
-    w = math.exp(-xf)
-    value = s.value * w
+    try:
+        w = math.exp(-xf)
+        value = s.value * w
+        un, ud = math.ulp(value).as_integer_ratio()  # the ulp of an infinite product overflows
+    except OverflowError:
+        raise DomainError(f"e^-x times the series at x = {x} exceeds the float range") from None
     an, ad = abs(xf).as_integer_ratio()
     dn, dd = (an + 4 * ad) * 23, ad * 10**17
     wn, wd = w.as_integer_ratio()
     sn, sd = s.err.as_integer_ratio()
     vn, vd = abs(s.value).as_integer_ratio()
-    un, ud = math.ulp(value).as_integer_ratio()
     den = wd * sd * vd * dd
     num = wn * (sn * vd * (dd + dn) + vn * sd * dn)
     return value, (num * ud + un * den, den * ud)
@@ -796,13 +802,26 @@ class MaxIndexReport(NamedTuple):
     bound_holds: bool
 
 
+def _max_report(n: int, r: int, row: tuple[int, ...], after: tuple[int, ...]) -> MaxIndexReport:
+    """The report at (n, r) from rows n+r and n+r+1 of the r-triangle."""
+    best = max(row)
+    maximizers = tuple(r + j for j, v in enumerate(row) if v == best)
+    ratio = Fraction(sum(after), sum(row)) - (r + 1)
+    holds = any(abs(k - r - ratio) < 1 for k in maximizers)
+    return MaxIndexReport(n, r, maximizers, ratio, holds)
+
+
 def max_index(n: int, r: int) -> MaxIndexReport:
+    """The report at (n, r), from the last two rows of one walk."""
     _check_natural(n=n, r=r)
     if n < 1:
         raise DomainError("max_index needs n >= 1")
-    row = stirling_row(2, n + r, r)
-    best = max(row)
-    maximizers = tuple(r + j for j, v in enumerate(row) if v == best)
-    ratio = Fraction(rbell_number(n + 1, r), rbell_number(n, r)) - (r + 1)
-    holds = any(abs(k - r - ratio) < 1 for k in maximizers)
-    return MaxIndexReport(n, r, maximizers, ratio, holds)
+    row, after = deque(stirling_rows(2, r, n + r + 1), maxlen=2)
+    return _max_report(n, r, row, after)
+
+
+def max_indices(n_max: int, r: int) -> list[MaxIndexReport]:
+    """The reports at (n, r) for n = 1..n_max, at entry n - 1, from one walk."""
+    _check_natural(n_max=n_max, r=r)
+    rows = islice(pairwise(stirling_rows(2, r, n_max + r + 1)), 1, None)
+    return [_max_report(n, r, row, after) for n, (row, after) in enumerate(rows, start=1)]

@@ -19,7 +19,7 @@ from operator import mul
 
 from .algebra import IntPolynomial
 from .errors import DomainError
-from .stirling import _check_natural, binomial, stirling_row
+from .stirling import _check_natural, binomial, stirling_row, stirling_rows
 
 
 def rbell_poly(n: int, r: int) -> IntPolynomial:
@@ -31,6 +31,13 @@ def rbell_poly(n: int, r: int) -> IntPolynomial:
     """
     _check_natural(n=n, r=r)
     return IntPolynomial(stirling_row(2, n + r, r))
+
+
+def rbell_polys(n_max: int, r: int) -> list[IntPolynomial]:
+    """B_{0,r}(x), ..., B_{n_max,r}(x) from their r-Stirling coefficients:
+    rows r..n_max+r of one walk."""
+    _check_natural(n_max=n_max, r=r)
+    return [IntPolynomial(row) for row in stirling_rows(2, r, n_max + r)]
 
 
 def rbell_polys_rec(n_max: int, r: int) -> list[IntPolynomial]:
@@ -62,6 +69,12 @@ def rbell_number(n: int, r: int) -> int:
     return sum(stirling_row(2, n + r, r))
 
 
+def rbell_numbers(n_max: int, r: int) -> list[int]:
+    """B_{0,r}, ..., B_{n_max,r}, the sums of rows r..n_max+r of one walk."""
+    _check_natural(n_max=n_max, r=r)
+    return [sum(row) for row in stirling_rows(2, r, n_max + r)]
+
+
 def bell_poly(n: int) -> IntPolynomial:
     """Ordinary Bell polynomial B_n(x), the r = 0 case."""
     return rbell_poly(n, 0)
@@ -73,10 +86,10 @@ def rbell_polys_from_bell(n_max: int, r: int) -> list[IntPolynomial]:
 
         B_{n,r}(x) = sum_k r^k C(n, k) B_{n-k}(x),
 
-    with B_0(x), ..., B_{n_max}(x) built once.
+    with B_0(x), ..., B_{n_max}(x) built once, by :func:`rbell_polys` at r = 0.
     """
     _check_natural(n_max=n_max, r=r)
-    bells = [bell_poly(m) for m in range(n_max + 1)]
+    bells = rbell_polys(n_max, 0)
     polys = []
     for n in range(n_max + 1):
         acc = IntPolynomial()
@@ -92,21 +105,29 @@ def rbell_from_bell(n: int, r: int) -> IntPolynomial:
     return rbell_polys_from_bell(n, r)[-1]
 
 
-def cross_r_step(n: int, r: int) -> IntPolynomial:
-    """B_{n,r}(x) reconstructed from the (r-1)-row via
+def cross_r_steps(n_max: int, r: int) -> list[IntPolynomial]:
+    """B_{0,r}(x), ..., B_{n_max,r}(x) reconstructed from the (r-1)-row via
 
         x B_{n,r}(x) = B_{n+1,r-1}(x) - (r-1) B_{n,r-1}(x),
 
     the polynomial consequence of Broder's Stirling-level cross-parameter
-    identity.  A frequently printed simplified form omits the factor x on the
-    left; see :func:`cross_r_printed` and the verify suite's KNOWN-ERRATUM
-    check for that misprint.
+    identity, with B_{0..n_max+1,r-1} from one walk.  A frequently printed
+    simplified form omits the factor x on the left; see
+    :func:`cross_r_printed` and the verify suite's KNOWN-ERRATUM check for
+    that misprint.
     """
-    _check_natural(n=n, r=r)
+    _check_natural(n_max=n_max, r=r)
     if r < 1:
         raise DomainError("cross_r_step needs r >= 1")
-    numerator = rbell_poly(n + 1, r - 1) - (r - 1) * rbell_poly(n, r - 1)
-    return numerator // IntPolynomial((0, 1))
+    lower = rbell_polys(n_max + 1, r - 1)
+    x = IntPolynomial((0, 1))
+    return [(b - (r - 1) * a) // x for a, b in zip(lower, lower[1:])]
+
+
+def cross_r_step(n: int, r: int) -> IntPolynomial:
+    """B_{n,r}(x) by the cross-parameter step: the last of
+    :func:`cross_r_steps`."""
+    return cross_r_steps(n, r)[-1]
 
 
 def cross_r_printed(n: int, r: int) -> IntPolynomial:
@@ -133,11 +154,12 @@ def carlitz_compositions(n: int, m_max: int, r: int) -> list[int]:
     """Carlitz's compositions sum_{j=0..m} {m+r, j+r}_r B_{n,r+j}, m = 0..m_max;
     contract: entry m equals rbell_number(n + m, r).  Each B_{n,r+j} is
     computed once, as B_{n,s} = sum_k C(n, k) s^(n-k) B_k over the Bell
-    numbers B_k, each the sum of its r-Stirling row."""
+    numbers B_k from one walk (:func:`rbell_numbers` at r = 0); the
+    r-Stirling rows come from one walk too."""
     _check_natural(n=n, m_max=m_max, r=r)
-    weights = [math.comb(n, k) * sum(stirling_row(2, k, 0)) for k in range(n + 1)]
+    weights = [math.comb(n, k) * b for k, b in enumerate(rbell_numbers(n, 0))]
     values = [_horner(weights, r + j) for j in range(m_max + 1)]  # B_{n,r+j}
-    return [sum(map(mul, stirling_row(2, m + r, r), values)) for m in range(m_max + 1)]
+    return [sum(map(mul, row, values)) for row in stirling_rows(2, r, m_max + r)]
 
 
 def carlitz_compose(n: int, m: int, r: int) -> int:
@@ -150,12 +172,13 @@ def carlitz_inversions(n: int, m_max: int, r: int) -> list[int]:
     m = 0..m_max, each B_{n+j,r} computed once as in carlitz_compositions;
     contract: entry m equals rbell_number(n, r + m)."""
     _check_natural(n=n, m_max=m_max, r=r)
-    bells = [sum(stirling_row(2, k, 0)) for k in range(n + m_max + 1)]
+    bells = rbell_numbers(n + m_max, 0)
     signed = [  # (-1)^j B_{n+j,r}
         (-1) ** j * _horner([math.comb(n + j, k) * bells[k] for k in range(n + j + 1)], r)
         for j in range(m_max + 1)
     ]
-    return [(-1) ** m * sum(map(mul, stirling_row(1, m + r, r), signed)) for m in range(m_max + 1)]
+    rows = stirling_rows(1, r, m_max + r)
+    return [(-1) ** m * sum(map(mul, row, signed)) for m, row in enumerate(rows)]
 
 
 def carlitz_inverse(n: int, m: int, r: int) -> int:
@@ -163,10 +186,16 @@ def carlitz_inverse(n: int, m: int, r: int) -> int:
     return carlitz_inversions(n, m, r)[-1]
 
 
+def whitehead_steps(n_max: int, r: int) -> list[int]:
+    """r B_{n,r} + B_{n,r+1} for n = 0..n_max, from one walk each of r and
+    r + 1; contract: entry n equals rbell_number(n + 1, r)."""
+    _check_natural(n_max=n_max, r=r)
+    return [r * a + b for a, b in zip(rbell_numbers(n_max, r), rbell_numbers(n_max, r + 1))]
+
+
 def whitehead_step(n: int, r: int) -> int:
-    """r B_{n,r} + B_{n,r+1}; contract: equals rbell_number(n + 1, r)."""
-    _check_natural(n=n, r=r)
-    return r * rbell_number(n, r) + rbell_number(n, r + 1)
+    """The last entry of :func:`whitehead_steps`."""
+    return whitehead_steps(n, r)[-1]
 
 
 def whitehead_row_sum(n: int) -> int:

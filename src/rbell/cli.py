@@ -17,14 +17,16 @@ move the cost out of a call that is timed after a first parse rather than
 remove it.  Value functions read library functions from this module's
 globals when they run, so a wrapper installed there sees every call.
 
-Exit codes: 0 success, 1 verification or consistency failure, 2 usage or
-domain error.
+Exit codes: 0 success, 1 verification or consistency failure, or stdout
+closed before the output was written (as by ``| head``), 2 usage or domain
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -244,7 +246,16 @@ def main(argv=None) -> int:
     try:
         if limit:
             sys.set_int_max_str_digits(0)
-        return command.run(args) if command.run else _emit(args, command.value(args))
+        code = command.run(args) if command.run else _emit(args, command.value(args))
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; what is still buffered goes to the null device
+        # so the interpreter's final flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,9 +13,9 @@ returns {n+r, k+r}_r; keeping the shift explicit avoids off-by-r bugs.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from collections.abc import Iterator
 from itertools import repeat
-from operator import add, mul
+from operator import add, mul, sub
 
 from .algebra import IntPolynomial
 from .errors import DomainError, InconsistencyError
@@ -33,70 +33,39 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-# The package's only cache: rows kept for reuse, least recently used evicted
-# first, one entry per (kind, n, r) holding the widest prefix built so far.
-# Sixty-four rows cap what a long-lived process holds; they do not hold every
-# row a verify suite revisits (one definitions check reads 117 rows at the
-# default grid).  Over `verify --suite definitions`, 935 row requests gave
-# 322 exact hits, 515 builds from row n-1 and 98 from row r.
-_ROW_CACHE_SIZE = 64
-_rows: OrderedDict[tuple[int, int, int], tuple[int, ...]] = OrderedDict()
+def stirling_rows(kind: int, r: int, n_max: int, width: int | None = None) -> Iterator[tuple]:
+    """Rows r..n_max of Broder's r-Stirling triangle of the first (kind = 1)
+    or second (kind = 2) kind, in one walk; none when n_max < r.  Entry j of
+    row n is [n, r+j]_r or {n, r+j}_r, j = 0..n-r; with a width, a row holds
+    its first width entries only.  Row r is (1,), and each row follows from
+    the one before by
+
+        {m+1, r+j}_r = (r+j) {m, r+j}_r + {m, r+j-1}_r
+        [m+1, r+j]_r =   m   [m, r+j]_r + [m, r+j-1]_r,
+
+    both lower-triangular in j, so each step is truncated to the width.  Only
+    the current row is held; the arguments are checked on the first step.
+    """
+    if kind not in (1, 2):
+        raise DomainError(f"kind must be 1 or 2, got {kind!r}")
+    _check_natural(n_max=n_max, r=r, width=0 if width is None else width)
+    if n_max < r:
+        return
+    row = (1,)[:width]
+    yield row
+    for m in range(r, n_max):
+        weights = range(r, m + 2) if kind == 2 else repeat(m)
+        padded = row + (0,) if width is None or len(row) < width else row
+        row = (*map(add, map(mul, weights, padded), (0,) + row),)
+        yield row
 
 
 def stirling_row(kind: int, n: int, r: int, width: int | None = None) -> tuple[int, ...]:
-    """Row n of Broder's r-Stirling triangle of the first (kind = 1) or second
-    (kind = 2) kind: entry j is [n, r+j]_r or {n, r+j}_r for j = 0..n-r, and
-    the row is empty when n < r.  With a width, only the first width entries
-    (columns r..r+width-1) are built and returned.
-
-    Rows are built iteratively from row n-1 of the same kind and r when it
-    is cached and wide enough, and from row r = (1,) otherwise, by
-
-        {m+1, r+j}_r = (r+j) {m, r+j}_r + {m, r+j-1}_r
-        [m+1, r+j]_r =   m   [m, r+j]_r + [m, r+j-1]_r.
-
-    Both are lower-triangular in j, so each step is truncated to the width.
-    Only the requested row is cached; its widest prefix serves every request
-    no wider, and a wider request builds the full row, so a row is built at
-    most twice: once narrow, once full.
-    """
-    key = (kind, n, r)
-    row = _rows.get(key)
-    if row is None:
-        if kind not in (1, 2):
-            raise DomainError(f"kind must be 1 or 2, got {kind!r}")
-        _check_natural(n=n, r=r)
-        row = ()
-    full = max(n - r + 1, 0)
-    if width is None:
-        want = full
-    else:
-        _check_natural(width=width)
-        want = min(width, full)
-    if len(row) < want:
-        row = _build_row(kind, n, r, full if row else want)
-    elif row:
-        _rows.move_to_end(key)
-    return row if len(row) == want else row[:want]
-
-
-def _build_row(kind: int, n: int, r: int, width: int) -> tuple[int, ...]:
-    """The first width entries of row n >= r, built and cached."""
-    m, row = n - 1, _rows.get((kind, n - 1, r))
-    if row is None or len(row) < min(width, n - r):
-        m, row = r, (1,)
-    if len(row) > width:
-        row = row[:width]
-    while m < n:
-        weights = range(r, m + 2) if kind == 2 else repeat(m)
-        padded = row + (0,) if len(row) < width else row
-        row = (*map(add, map(mul, weights, padded), (0,) + row),)
-        m += 1
-    key = (kind, n, r)
-    _rows[key] = row
-    _rows.move_to_end(key)
-    if len(_rows) > _ROW_CACHE_SIZE:
-        _rows.popitem(last=False)
+    """Row n (or its first width entries) of the r-Stirling triangle, empty
+    when n < r: the last row of one :func:`stirling_rows` walk."""
+    row = ()
+    for row in stirling_rows(kind, r, n, width):
+        pass
     return row
 
 
@@ -142,12 +111,12 @@ def horizontal_check(n: int, r: int) -> IntPolynomial:
 
     as a polynomial; the contract is the zero polynomial.  The right side is
     built in nested Newton form c_0 + x (c_1 + (x-1) (c_2 + ...)), one linear
-    factor per step.
+    factor per step on its coefficient tuple, low to high.
     """
     _check_natural(n=n, r=r)
     lhs = IntPolynomial((r, 1)) ** n
-    rhs = IntPolynomial()
     row = stirling_row(2, n + r, r)
-    for k in range(len(row) - 1, -1, -1):
-        rhs = IntPolynomial((-k, 1)) * rhs + row[k]
-    return lhs - rhs
+    rhs = row[-1:]
+    for k in range(len(row) - 2, -1, -1):  # rhs <- (x - k) rhs + row[k]
+        rhs = (row[k] - k * rhs[0], *map(sub, rhs, map(mul, repeat(k), rhs[1:] + (0,))))
+    return lhs - IntPolynomial(rhs)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from .algebra import IntPolynomial, fraction_free_det, leading_principal_minors, pochhammer
-from .bell import rbell_poly, rbell_table
+from .bell import rbell_polys, rbell_table
 from .errors import DomainError
 from .stirling import _check_natural
 
@@ -82,7 +82,7 @@ def cigler_minors(n_max: int, k: int, r: int) -> list[IntPolynomial]:
     _check_natural(n_max=n_max, k=k, r=r)
     if n_max < 1:
         raise DomainError("cigler_minors needs n_max >= 1")
-    polys = [rbell_poly(m, r) for m in range(2 * (n_max - 1) + k + 1)]
+    polys = rbell_polys(2 * (n_max - 1) + k, r)
     return leading_principal_minors([polys[i + k : i + k + n_max] for i in range(n_max)])
 
 

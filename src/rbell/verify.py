@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
+from itertools import pairwise
 from typing import Callable, NamedTuple
 
 from .algebra import ApproxReal, IntPolynomial
@@ -28,28 +29,30 @@ from .analytic import (
     dobinski_series_sum,
     egf_coeffs,
     kummer_residual,
-    max_index,
+    max_indices,
     ogf_coefficient_pair,
     real_rootedness_report,
     sin_moment,
 )
 from .bell import (
-    bell_poly,
     carlitz_compositions,
     carlitz_inversions,
     cross_r_printed,
     cross_r_step,
+    cross_r_steps,
     rbell_number,
+    rbell_numbers,
     rbell_poly,
+    rbell_polys,
     rbell_polys_from_bell,
     rbell_polys_rec,
     rbell_table,
     whitehead_row_sum,
-    whitehead_step,
+    whitehead_steps,
 )
 from .errors import ConvergenceError, DomainError, InconsistencyError
 from .oracle import enumerate_grid
-from .stirling import binomial, horizontal_check, stirling2r_explicit, stirling_row
+from .stirling import binomial, horizontal_check, stirling2r_explicit, stirling_row, stirling_rows
 from .transforms import (
     binomial_transform,
     cigler_closed_form,
@@ -94,17 +97,26 @@ def _points(nmax: int, rmax: int, n_from: int = 0, r_from: int = 0):
             yield n, r
 
 
+def _row_points(nmax: int, rmax: int):
+    """The grid of _points, each point with row n+r of the second-kind
+    r-triangle, from one walk per r."""
+    for r in range(rmax + 1):
+        for n, row in enumerate(stirling_rows(2, r, nmax + r)):
+            yield n, r, row
+
+
 # Every check below takes the resolved (nmax, rmax) of its table row, None
 # for an axis it does not scan, and returns its first counterexample or None,
-# or, in a row named None, its own list of results.
+# or, in a row named None, its own list of results.  A check that reads
+# consecutive rows of one r takes them from one walk per r (stirling_rows or
+# a list form built on it), in the same (r, n) order.
 
 # ---------------------------------------------------------------------------
 # definitions
 
 
 def _explicit_formula(nmax: int, rmax: int) -> str | None:
-    for n, r in _points(nmax, rmax):
-        row = stirling_row(2, n + r, r)
+    for n, r, row in _row_points(nmax, rmax):
         for k in range(n + 1):
             a = row[k]
             b = stirling2r_explicit(n, k, r)
@@ -116,10 +128,10 @@ def _explicit_formula(nmax: int, rmax: int) -> str | None:
 def _row_sums(nmax: int, rmax: int) -> str | None:
     # rbell_number sums this very row; the table takes the Bell-triangle route
     table = rbell_table(nmax, rmax)
-    for n, r in _points(nmax, rmax):
+    for n, r, row in _row_points(nmax, rmax):
         if r >= len(table) or n >= len(table[r]):
             return f"(n={n}, r={r}): rbell_table has no entry B_{{n,r}}"
-        total = sum(stirling_row(2, n + r, r))
+        total = sum(row)
         expected = table[r][n]
         if total != expected:
             return f"(n={n}, r={r}): row sum {total} vs B = {expected}"
@@ -127,22 +139,23 @@ def _row_sums(nmax: int, rmax: int) -> str | None:
 
 
 def _cross_r_stirling(nmax: int, rmax: int) -> str | None:
-    for n, r in _points(nmax, rmax, r_from=1):
-        # {n+r, k+r}_r at index k; {n+r, k+r}_{r-1} and {n-1+r, k+r}_{r-1} at index k+1
-        row = stirling_row(2, n + r, r)
-        wider = stirling_row(2, n + r, r - 1)
-        below = stirling_row(2, n - 1 + r, r - 1) + (0,)
-        for k in range(n + 1):
-            lhs = row[k]
-            rhs = wider[k + 1] - (r - 1) * below[k + 1]
-            if lhs != rhs:
-                return f"(n={n}, k={k}, r={r}): {lhs} vs {rhs}"
+    for r in range(1, rmax + 1):
+        # {n+r, k+r}_r at index k; {n-1+r, k+r}_{r-1} and {n+r, k+r}_{r-1} at
+        # index k+1, two consecutive rows of the (r-1)-walk
+        rows = zip(stirling_rows(2, r, nmax + r), pairwise(stirling_rows(2, r - 1, nmax + r)))
+        for n, (row, (below, wider)) in enumerate(rows):
+            below += (0,)
+            for k in range(n + 1):
+                lhs = row[k]
+                rhs = wider[k + 1] - (r - 1) * below[k + 1]
+                if lhs != rhs:
+                    return f"(n={n}, k={k}, r={r}): {lhs} vs {rhs}"
     return None
 
 
 def _log_concavity(nmax: int, rmax: int) -> str | None:
-    for n, r in _points(nmax, rmax):
-        row = (0, *stirling_row(2, n + r, r), 0)  # {n+r, k}_r at index k - r + 1
+    for n, r, row in _row_points(nmax, rmax):
+        row = (0, *row, 0)  # {n+r, k}_r at index k - r + 1
         for k in range(max(r, 1), n + r + 1):
             j = k - r + 1
             middle = row[j] ** 2
@@ -176,13 +189,13 @@ def _polynomial_formulas(nmax: None, rmax: int) -> str | None:
 
 def _bell_addition(nmax: int, rmax: None) -> str | None:
     points = (Fraction(1, 2), Fraction(1), Fraction(2))
-    polys = [bell_poly(k) for k in range(nmax + 1)]
+    polys = rbell_polys(nmax, 0)
     # B_k(x) at each point, evaluated once and shared by every (n, y)
     values = {x: [p(x) for p in polys] for x in points}
     for n in range(nmax + 1):
         for x in points:
             for y in points:
-                lhs = bell_poly(n)(x + y)
+                lhs = polys[n](x + y)
                 rhs = sum(
                     binomial(n, k) * values[x][k] * values[y][n - k]
                     for k in range(n + 1)
@@ -206,18 +219,19 @@ def _horizontal(nmax: int, rmax: int) -> str | None:
 
 def _route_agreement(nmax: int, rmax: int) -> str | None:
     for r in range(rmax + 1):
-        # one walk of the derivative recurrence and one set of ordinary Bell
-        # polynomials serve every n of this r
+        # one walk each of the r-Stirling rows, the derivative recurrence and
+        # the (r-1)-rows, and one set of ordinary Bell polynomials, serve
+        # every n of this r
         recurrence = rbell_polys_rec(nmax, r)
         expansion = rbell_polys_from_bell(nmax, r)
-        for n in range(nmax + 1):
-            direct = rbell_poly(n, r)
+        cross = cross_r_steps(nmax, r) if r >= 1 else None
+        for n, direct in enumerate(rbell_polys(nmax, r)):
             routes = {
                 "derivative recurrence": recurrence[n],
                 "Bell expansion": expansion[n],
             }
-            if r >= 1:
-                routes["cross-r division"] = cross_r_step(n, r)
+            if cross:
+                routes["cross-r division"] = cross[n]
             for label, poly in routes.items():
                 if poly != direct:
                     return f"(n={n}, r={r}): {label} gives {poly!r}, direct {direct!r}"
@@ -226,31 +240,31 @@ def _route_agreement(nmax: int, rmax: int) -> str | None:
 
 def _derivative_relation(nmax: int, rmax: int) -> str | None:
     x = IntPolynomial([0, 1])
-    for n, r in _points(nmax, rmax):
-        p = rbell_poly(n, r)
-        lhs = x * p.derivative()
-        rhs = rbell_poly(n + 1, r) - r * p - x * p
-        if lhs != rhs:
-            return f"(n={n}, r={r}): {lhs!r} vs {rhs!r}"
+    for r in range(rmax + 1):
+        for n, (p, after) in enumerate(pairwise(rbell_polys(nmax + 1, r))):
+            lhs = x * p.derivative()
+            rhs = after - r * p - x * p
+            if lhs != rhs:
+                return f"(n={n}, r={r}): {lhs!r} vs {rhs!r}"
     return None
 
 
 def _monic_shape(nmax: int, rmax: int) -> str | None:
-    for n, r in _points(nmax, rmax):
-        p = rbell_poly(n, r)
-        if p.degree != n or p.leading_coefficient != 1:
-            return f"(n={n}, r={r}): {p!r} not monic of degree n"
-        if p.constant_term != r**n:
-            return f"(n={n}, r={r}): constant term {p.constant_term} vs r^n = {r**n}"
+    for r in range(rmax + 1):
+        for n, p in enumerate(rbell_polys(nmax, r)):
+            if p.degree != n or p.leading_coefficient != 1:
+                return f"(n={n}, r={r}): {p!r} not monic of degree n"
+            if p.constant_term != r**n:
+                return f"(n={n}, r={r}): constant term {p.constant_term} vs r^n = {r**n}"
     return None
 
 
 def _whitehead(nmax: int, rmax: int) -> str | None:
-    for n, r in _points(nmax, rmax):
-        stepped = whitehead_step(n, r)
-        expected = rbell_number(n + 1, r)
-        if stepped != expected:
-            return f"(n={n}, r={r}): {stepped} vs {expected}"
+    for r in range(rmax + 1):
+        pairs = zip(whitehead_steps(nmax, r), rbell_numbers(nmax + 1, r)[1:])
+        for n, (stepped, expected) in enumerate(pairs):
+            if stepped != expected:
+                return f"(n={n}, r={r}): {stepped} vs {expected}"
     for n, want in enumerate(REFERENCE_ROW_SUMS, start=1):
         got = whitehead_row_sum(n)
         if got != want:
@@ -259,8 +273,9 @@ def _whitehead(nmax: int, rmax: int) -> str | None:
 
 
 def _bell_shift(nmax: int, rmax: None) -> str | None:
-    for n in range(nmax + 1):
-        if rbell_number(n, 1) != rbell_number(n + 1, 0):
+    pairs = zip(rbell_numbers(nmax, 1), rbell_numbers(nmax + 1, 0)[1:])
+    for n, (shifted, bell) in enumerate(pairs):
+        if shifted != bell:
             return f"n={n}"
     return None
 
@@ -302,7 +317,7 @@ def _carlitz(total: int, rmax: int) -> list[CheckResult]:
     table = rbell_table(total, rmax + total)  # B_{n,r+m} at [r + m][n]
     first = {}  # check name -> its first counterexample
     for r in range(rmax + 1):
-        rows = [stirling_row(2, m + r, r) for m in range(total + 1)]
+        rows = list(stirling_rows(2, r, total + r))
         for n in range(total + 1):
             composed = carlitz_compositions(n, total - n, r)
             inverses = carlitz_inversions(n, total - n, r)
@@ -325,7 +340,7 @@ def _carlitz(total: int, rmax: int) -> list[CheckResult]:
 
 def _transform_roundtrip(nmax: int, rmax: int) -> str | None:
     for r in range(rmax + 1):
-        seq = [rbell_number(n, r) for n in range(nmax + 1)]
+        seq = rbell_numbers(nmax, r)
         if inverse_binomial_transform(binomial_transform(seq)) != seq:
             return f"r={r}"
         if binomial_transform(inverse_binomial_transform(seq)) != seq:
@@ -334,9 +349,9 @@ def _transform_roundtrip(nmax: int, rmax: int) -> str | None:
 
 
 def _poly_transform_relations(nmax: int, rmax: int) -> str | None:
+    upper = rbell_polys(nmax, 0)
     for r in range(rmax + 1):
-        lower = [rbell_poly(k, r) for k in range(nmax + 1)]
-        upper = [rbell_poly(k, r + 1) for k in range(nmax + 1)]
+        lower, upper = upper, rbell_polys(nmax, r + 1)
         if inverse_binomial_transform(lower) != upper:
             return f"r={r}: inverse transform"
         if binomial_transform(upper) != lower:
@@ -345,9 +360,9 @@ def _poly_transform_relations(nmax: int, rmax: int) -> str | None:
 
 
 def _layman(nmax: None, rmax: int) -> str | None:
+    shifted = rbell_numbers(10, 0)
     for r in range(rmax + 1):
-        base = [rbell_number(n, r) for n in range(11)]
-        shifted = [rbell_number(n, r + 1) for n in range(11)]
+        base, shifted = shifted, rbell_numbers(10, r + 1)
         for size in range(1, 6):
             a = hankel_det(base, size)
             b = hankel_det(shifted, size)
@@ -368,7 +383,7 @@ def _hankel_products(nmax: None, rmax: int) -> str | None:
 def _log_convexity(nmax: int, rmax: int) -> str | None:
     length = max(nmax, 2)
     for r in range(rmax + 1):
-        seq = [rbell_number(n, r) for n in range(length + 1)]
+        seq = rbell_numbers(length, r)
         if not log_convexity_check(seq):
             return f"r={r}"
     return None
@@ -402,17 +417,18 @@ def _cigler(nmax: int, rmax: int) -> str | None:
 def _dobinski(nmax: int, rmax: int) -> str | None:
     tol = 1e-9
     tn, td = tol.as_integer_ratio()
-    for n, r in _points(nmax, rmax):
-        for x in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            approx = dobinski_eval(n, r, x, tol)
-            exact = rbell_poly(n, r)(x)
-            if not approx.encloses(exact):
-                return f"(n={n}, r={r}, x={x}): {approx!r} does not enclose {exact}"
-            # err > tol * max(1, exact), cross-multiplied in integers
-            en, ed = approx.err.as_integer_ratio()
-            xn, xd = exact.as_integer_ratio()
-            if en * td * xd > tn * ed * max(xd, xn):
-                return f"(n={n}, r={r}, x={x}): err {approx.err} above tol * max(1, exact)"
+    for r in range(rmax + 1):
+        for n, poly in enumerate(rbell_polys(nmax, r)):
+            for x in (Fraction(1, 2), Fraction(1), Fraction(2)):
+                approx = dobinski_eval(n, r, x, tol)
+                exact = poly(x)
+                if not approx.encloses(exact):
+                    return f"(n={n}, r={r}, x={x}): {approx!r} does not enclose {exact}"
+                # err > tol * max(1, exact), cross-multiplied in integers
+                en, ed = approx.err.as_integer_ratio()
+                xn, xd = exact.as_integer_ratio()
+                if en * td * xd > tn * ed * max(xd, xn):
+                    return f"(n={n}, r={r}, x={x}): err {approx.err} above tol * max(1, exact)"
     return None
 
 
@@ -503,10 +519,11 @@ def _ogf(mmax: int, rmax: int) -> str | None:
 
 def _egf(nmax: int, rmax: int) -> str | None:
     for r in range(rmax + 1):
+        polys = rbell_polys(nmax, r)
         for x in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3)):
             for n, c in enumerate(egf_coeffs(nmax, r, x)):
                 fact = math.factorial(n)
-                expected = rbell_poly(n, r)(x)
+                expected = polys[n](x)
                 if fact * c != expected:
                     return f"(n={n}, r={r}, x={x}): n!*c = {fact * c} vs {expected}"
     return None
@@ -536,13 +553,13 @@ def _real_rootedness(nmax: int, rmax: int) -> str | None:
 
 
 def _maximizing_index(nmax: int, rmax: int) -> str | None:
-    for n, r in _points(nmax, rmax, n_from=1):
-        report = max_index(n, r)
-        ks = report.maximizers
-        if ks != tuple(range(ks[0], ks[0] + len(ks))):
-            return f"(n={n}, r={r}): maximizers {ks} not consecutive"
-        if not report.bound_holds:
-            return f"(n={n}, r={r}): no maximizer within 1 of {report.ratio_estimate}"
+    for r in range(rmax + 1):
+        for n, report in enumerate(max_indices(nmax, r), start=1):
+            ks = report.maximizers
+            if ks != tuple(range(ks[0], ks[0] + len(ks))):
+                return f"(n={n}, r={r}): maximizers {ks} not consecutive"
+            if not report.bound_holds:
+                return f"(n={n}, r={r}): no maximizer within 1 of {report.ratio_estimate}"
     return None
 
 

@@ -463,6 +463,11 @@ def test_kummer_residual():
     for a, b, x in [(1, 2, 1), (Fraction(1, 2), Fraction(3, 2), 1), (2, 3, -2)]:
         res = kummer_residual(a, b, x, 1e-10)
         assert res.value <= res.err + 1e-10
+    # 1F1 takes |x| <= 1000, but e^{-x} leaves the float range past x = -709
+    assert kummer_residual(1, 1, -709, 1e-9) == (9.939017205294214e297, 2.7121333656325714e298)
+    for x in (-710, -745, -1000):
+        with pytest.raises(DomainError, match=f"at x = {x} exceeds the float range"):
+            kummer_residual(1, 1, x, 1e-9)
 
 
 # ---------------------------------------------------------------------------

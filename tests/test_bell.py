@@ -98,11 +98,13 @@ def test_rbell_polys_from_bell_builds_each_bell_polynomial_once(monkeypatch):
     assert rbell_polys_from_bell(0, 3) == [IntPolynomial([1])]
     with pytest.raises(DomainError):
         rbell_polys_from_bell(-1, 0)
-    builds = []
-    monkeypatch.setattr(bell, "bell_poly", lambda n: builds.append(n) or rbell_poly(n, 0))
-    # route-agreement at --nmax 14 --rmax 9 reads B_0..B_14 once per r
+    walks = []
+    original = bell.rbell_polys
+    monkeypatch.setattr(bell, "rbell_polys", lambda n, r: walks.append((n, r)) or original(n, r))
+    # route-agreement at --nmax 14 --rmax 9 reads B_0..B_14 from one walk per
+    # r, and for r >= 1 its cross-r division reads B_{0..15,r-1} from one more
     assert verify._route_agreement(14, 9) is None
-    assert sorted(builds) == sorted(list(range(15)) * 10)
+    assert sorted(walks) == sorted([(14, 0)] * 10 + [(15, r) for r in range(9)])
 
 
 def test_derivative_recurrence():

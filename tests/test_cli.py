@@ -349,6 +349,22 @@ def test_startup_imports_no_dataclasses():
     assert out == "[]\n"
 
 
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the reader takes one line and closes the pipe, as `| head -1` does;
+    # the rest of a 41 x 301 table would not fit in the pipe's buffer
+    src = pathlib.Path(rbell.cli.__file__).parent.parent
+    argv = [sys.executable, "-m", "rbell", "table", "--nmax", "300", "--rmax", "40"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"r\\n")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait()
+    assert (code, err) == (1, b"")
+
+
 def test_module_entry_point():
     import rbell.__main__  # noqa: F401  (import must not run main when not __main__)
 

@@ -3,12 +3,14 @@
 import math
 import pathlib
 import random
-from collections import OrderedDict
+import sys
 from fractions import Fraction
+from types import ModuleType
 
 import pytest
 
 import rbell.stirling
+import rbell.verify
 
 from rbell.algebra import IntPolynomial, falling_factorial_poly, pochhammer
 from rbell.analytic import max_index
@@ -21,6 +23,7 @@ from rbell.stirling import (
     stirling2r,
     stirling2r_explicit,
     stirling_row,
+    stirling_rows,
 )
 
 
@@ -178,28 +181,24 @@ def test_stirling_rows_match_closed_forms():
         stirling_row(2, -1, 0)
 
 
-def test_row_cache_is_bounded():
-    for r in range(3 * rbell.stirling._ROW_CACHE_SIZE):
-        stirling_row(2, r + 5, r)
-        stirling_row(1, r + 5, r)
-    assert len(rbell.stirling._rows) <= rbell.stirling._ROW_CACHE_SIZE
-
-
 def test_no_unbounded_caches():
     src = pathlib.Path(rbell.stirling.__file__).parent
     for path in src.glob("*.py"):
         text = path.read_text()
-        assert "maxsize=None" not in text and "@cache" not in text, path.name
+        for cache in ("maxsize=None", "@cache", "OrderedDict", "lru_cache"):
+            assert cache not in text, (path.name, cache)
+
+
+def test_stirling_module_holds_no_mutable_state():
+    # a row is built by its own walk and kept by no one: every module-level
+    # name is a function, a class or an imported module
+    for name, value in vars(rbell.stirling).items():
+        if not name.startswith("__") and name != "annotations":
+            assert callable(value) or isinstance(value, ModuleType), name
 
 
 # ---------------------------------------------------------------------------
-# width-bounded rows and the one-entry-per-row cache
-
-
-@pytest.fixture
-def fresh_rows(monkeypatch):
-    monkeypatch.setattr(rbell.stirling, "_rows", OrderedDict())
-    return rbell.stirling
+# walks and width-bounded rows
 
 
 def _full_row(kind, n, r):
@@ -213,18 +212,29 @@ def _full_row(kind, n, r):
     return rising.coeffs
 
 
-def test_narrow_query_leaves_full_rows_intact(fresh_rows):
+@pytest.mark.parametrize("kind", (1, 2))
+def test_stirling_rows_walk_every_row(kind):
+    for r in (0, 1, 4):
+        rows = list(stirling_rows(kind, r, r + 25))
+        assert rows == [_full_row(kind, n, r) for n in range(r, r + 26)]
+        assert list(stirling_rows(kind, r, r + 25, 3)) == [row[:3] for row in rows]
+        assert list(stirling_rows(kind, r, r + 25, 0)) == [()] * 26
+        assert list(stirling_rows(kind, r + 1, r)) == []
+    for args in ((3, 0, 4), (kind, -1, 4), (kind, 0, -1), (kind, 0, 4, -1), (kind, True, 4)):
+        with pytest.raises(DomainError):
+            next(stirling_rows(*args))
+
+
+def test_narrow_query_leaves_full_rows_intact():
     n, r = 40, 2
     assert stirling2r(n, r + 3, r) == _full_row(2, n, r)[3]
     assert stirling1r(n, r + 2, r) == _full_row(1, n, r)[2]
-    assert len(fresh_rows._rows[2, n, r]) < n - r + 1
     assert stirling_row(2, n, r) == _full_row(2, n, r)
     assert stirling_row(1, n, r) == _full_row(1, n, r)
 
     # the r-Bell layers read row m + r in full after a narrow query of it
     def narrow(m):
         stirling2r(m + r, r + 1, r)
-        assert len(fresh_rows._rows[2, m + r, r]) < m + 1
         return _full_row(2, m + r, r)
 
     narrow(43)
@@ -238,66 +248,93 @@ def test_narrow_query_leaves_full_rows_intact(fresh_rows):
 
 @pytest.mark.parametrize("kind", (1, 2))
 @pytest.mark.parametrize("r", (0, 1, 5))
-def test_sweeps_of_one_row_match_the_full_row(fresh_rows, kind, r):
+def test_sweeps_of_one_row_match_the_full_row(kind, r):
     point = stirling2r if kind == 2 else stirling1r
     n = r + 30
     full = _full_row(kind, n, r)
     ascending = [point(n, k, r) for k in range(r, n + 1)]
-    fresh_rows._rows.clear()
     descending = [point(n, k, r) for k in range(n, r - 1, -1)][::-1]
     assert ascending == descending == list(full)
     assert stirling_row(kind, n, r) == full
 
 
-def test_ascending_sweep_costs_a_few_full_builds(fresh_rows, monkeypatch):
-    # Count the entries each build computes: from row r, every step m -> m+1
-    # fills min(m - r + 2, width) columns.  A request wider than the cached
-    # prefix builds the full row, so an ascending sweep builds narrow once.
+@pytest.fixture
+def walks(monkeypatch):
+    """Every stirling_rows walk started, as its (kind, r, n_max, width),
+    in every rbell module that reads the walk."""
+    started = []
+    original = rbell.stirling.stirling_rows
+
+    def counted(kind, r, n_max, width=None):
+        started.append((kind, r, n_max, width))
+        return original(kind, r, n_max, width)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rbell.") and getattr(module, "stirling_rows", None) is original:
+            monkeypatch.setattr(module, "stirling_rows", counted)
+    return started
+
+
+def test_point_queries_walk_only_their_columns(walks):
+    # a point query is one walk from row r, each step m -> m+1 filling
+    # min(m - r + 2, width) columns, so row n costs its columns r..k only
     n, r = 400, 0
-    widths = []
-    build = fresh_rows._build_row
-
-    def counted_build(kind, n, r, width):
-        widths.append(width)
-        return build(kind, n, r, width)
-
-    def cost(width):
-        return sum(min(m - r + 2, width) for m in range(r, n))
-
-    monkeypatch.setattr(fresh_rows, "_build_row", counted_build)
     for k in range(n + 1):
         stirling2r(n, k, r)
-    assert widths == [1, n - r + 1]
-    assert sum(map(cost, widths)) <= 4 * cost(n - r + 1)
-
-    widths.clear()
-    fresh_rows._rows.clear()
-    for k in range(n, r - 1, -1):
-        stirling2r(n, k, r)
-    assert widths == [n - r + 1]
+    assert walks == [(2, r, n, k - r + 1) for k in range(n + 1)]
+    walks.clear()
+    assert len(stirling_row(1, n, r)) == n - r + 1
+    assert walks == [(1, r, n, None)]
 
 
-def test_mixed_widths_keep_one_entry_per_row(fresh_rows):
-    queried = set()
+def test_mixed_widths_match_the_full_row():
     rng = random.Random(2718)
     for _ in range(200):
         kind, r = rng.choice((1, 2)), rng.randrange(0, 4)
         n = rng.randrange(r, r + 20)
         k = rng.randrange(r, n + 1)
-        (stirling2r if kind == 2 else stirling1r)(n, k, r)
-        queried.add((kind, n, r))
-        assert len(fresh_rows._rows) <= fresh_rows._ROW_CACHE_SIZE
-        assert set(fresh_rows._rows) <= queried
-    fresh_rows._rows.clear()
-    for width in (3, 1, 7, 2, 30, 5):
-        stirling_row(2, 25, 1, width)
-    assert list(fresh_rows._rows) == [(2, 25, 1)]
-    assert stirling_row(2, 25, 1, 4) == _full_row(2, 25, 1)[:4]
+        got = (stirling2r if kind == 2 else stirling1r)(n, k, r)
+        assert got == _full_row(kind, n, r)[k - r], (kind, n, k, r)
+    for width in (3, 1, 7, 2, 30, 5, 4):
+        assert stirling_row(2, 25, 1, width) == _full_row(2, 25, 1)[:width]
     with pytest.raises(DomainError):
         stirling_row(2, 25, 1, -1)
 
 
-def test_row_1200_point_queries_match_closed_forms(fresh_rows):
+# the checks that read consecutive rows of one r; the rest scan per point
+# (horizontal-gf, real-rootedness, the integral and oracle checks), read
+# a fixed few points (polynomial-formulas, the erratum) or read no row
+_WALKING = {
+    "explicit-formula", "stirling-row-sums", "cross-r-stirling", "stirling-log-concavity",
+    "bell-addition", "route-agreement", "derivative-relation", "monic-shape",
+    "whitehead-step", "bell-shift", "transform-roundtrip", "poly-binomial-relations",
+    "layman-hankel", "log-convexity", "cigler-determinants", "dobinski-enclosure",
+    "egf-coefficients", "maximizing-index",
+}
+
+
+@pytest.mark.parametrize("nmax", (14, 20))
+def test_scans_make_a_few_walks_per_r(walks, nmax):
+    # at --rmax 9 a grid of n <= 14 has 150 points and n <= 20 has 210; a
+    # scan that walks once per point would grow with them
+    rmax = 9
+    counts = {}
+    for check in rbell.verify._CHECKS:
+        if check.name in _WALKING or check.suite == "carlitz":
+            n = rbell.verify._axis(check.nmax, nmax, check.n_cap)
+            walks.clear()
+            check.scan(n, rbell.verify._axis(check.rmax, rmax))
+            counts[check.name or check.suite] = len(walks)
+    assert set(counts) == _WALKING | {"carlitz"}
+    # whitehead-step also sums the anti-diagonals n <= 5 point by point
+    assert counts.pop("whitehead-step") == 3 * (rmax + 1) + 15
+    # each (r, n) pair of the carlitz scan calls both Carlitz sums, and each
+    # walks its r-Stirling rows and its Bell numbers once
+    assert counts.pop("carlitz") == (rmax + 1) * (1 + 4 * (nmax + 1))
+    assert max(counts.values()) <= 3 * (rmax + 1)
+
+
+def test_row_1200_point_queries_match_closed_forms():
     # {n, k}_1 = {n-1, k-1}, the alternating sum; [n, k]_1 = [n, k] =
     # (n-1)! e_{k-1}(1, 1/2, ..., 1/(n-1)), the elementary symmetric functions
     # of the reciprocals from their power sums by Newton's identities

@@ -171,8 +171,22 @@ def _bump_last(values):
 
 
 def _entry(index, change):
-    """Pass entry index of a row tuple through change."""
-    return lambda row: (*row[:index], change(row[index]), *row[index + 1:])
+    """Pass entry index of a row tuple or a list through change."""
+    return lambda row: type(row)((*row[:index], change(row[index]), *row[index + 1:]))
+
+
+def _row_at(point, change):
+    """Patch maker for stirling_rows: in every walk of (kind, r), row n
+    passes through change, point = (kind, n, r)."""
+
+    def make(original):
+        def fake(kind, r, n_max, width=None):
+            for n, row in enumerate(original(kind, r, n_max, width), start=r):
+                yield change(row) if (kind, n, r) == point else row
+
+        return fake
+
+    return make
 
 
 def _fail(name, detail):
@@ -214,12 +228,12 @@ FAIL_CASES = [
         id="stirling-row-sums",
     ),
     pytest.param(
-        "definitions", G, {"stirling_row": _at((2, 4, 2), _entry(1, _plus(1)))},
+        "definitions", G, {"stirling_rows": _row_at((2, 4, 2), _entry(1, _plus(1)))},
         _fail("cross-r-stirling", "(n=2, k=1, r=2): 6 vs 5"),
         id="cross-r-stirling",
     ),
     pytest.param(
-        "definitions", G, {"stirling_row": _at((2, 3, 0), _entry(2, _const(0)))},
+        "definitions", G, {"stirling_rows": _row_at((2, 3, 0), _entry(2, _const(0)))},
         _fail("stirling-log-concavity", "(n=3, k=2, r=0): 0 < 1"),
         id="stirling-log-concavity",
     ),
@@ -252,7 +266,7 @@ FAIL_CASES = [
         id="horizontal-gf",
     ),
     pytest.param(
-        "recurrences", G, {"cross_r_step": _at((2, 1), _plus(1))},
+        "recurrences", G, {"cross_r_steps": _at((4, 1), _entry(2, _plus(1)))},
         _fail(
             "route-agreement",
             "(n=2, r=1): cross-r division gives IntPolynomial([2, 3, 1]), "
@@ -261,7 +275,7 @@ FAIL_CASES = [
         id="route-agreement",
     ),
     pytest.param(
-        "recurrences", G, {"rbell_poly": _at((3, 2), _plus(1))},
+        "recurrences", G, {"rbell_polys": _at((5, 2), _entry(3, _plus(1)))},
         _fail(
             "derivative-relation",
             "(n=2, r=2): IntPolynomial([0, 5, 2]) vs IntPolynomial([1, 5, 2])",
@@ -269,17 +283,17 @@ FAIL_CASES = [
         id="derivative-relation",
     ),
     pytest.param(
-        "recurrences", G, {"rbell_poly": _at((2, 1), _plus(IntPolynomial([0, 0, 1])))},
+        "recurrences", G, {"rbell_polys": _at((4, 1), _entry(2, _plus(IntPolynomial([0, 0, 1]))))},
         _fail("monic-shape", "(n=2, r=1): IntPolynomial([1, 3, 2]) not monic of degree n"),
         id="monic-shape-leading",
     ),
     pytest.param(
-        "recurrences", G, {"rbell_poly": _at((2, 3), _plus(1))},
+        "recurrences", G, {"rbell_polys": _at((4, 3), _entry(2, _plus(1)))},
         _fail("monic-shape", "(n=2, r=3): constant term 10 vs r^n = 9"),
         id="monic-shape-constant",
     ),
     pytest.param(
-        "recurrences", G, {"whitehead_step": _at((1, 1), _plus(1))},
+        "recurrences", G, {"whitehead_steps": _at((4, 1), _entry(1, _plus(1)))},
         _fail("whitehead-step", "(n=1, r=1): 6 vs 5"),
         id="whitehead-step",
     ),
@@ -289,7 +303,7 @@ FAIL_CASES = [
         id="whitehead-step-row-sum",
     ),
     pytest.param(
-        "recurrences", G, {"rbell_number": _at((4, 1), _plus(1))},
+        "recurrences", G, {"rbell_numbers": _at((4, 1), _entry(4, _plus(1)))},
         _fail("bell-shift", "n=4"),
         id="bell-shift",
     ),
@@ -316,7 +330,7 @@ FAIL_CASES = [
         id="carlitz-inverse",
     ),
     pytest.param(
-        "carlitz", G, {"stirling_row": _at((2, 3, 1), _entry(2, _plus(1)))},
+        "carlitz", G, {"stirling_rows": _row_at((2, 3, 1), _entry(2, _plus(1)))},
         _fail("carlitz-roundtrip", "(n=0, m=2, r=1): 6 vs 5"),
         id="carlitz-roundtrip",
     ),
@@ -336,12 +350,12 @@ FAIL_CASES = [
         id="transform-roundtrip-reverse",
     ),
     pytest.param(
-        "transforms", G, {"rbell_poly": _at((3, 2), _plus(1))},
+        "transforms", G, {"rbell_polys": _at((4, 2), _entry(3, _plus(1)))},
         _fail("poly-binomial-relations", "r=1: inverse transform"),
         id="poly-binomial-relations",
     ),
     pytest.param(
-        "transforms", G, {"rbell_number": _at((4, 3), _plus(1))},
+        "transforms", G, {"rbell_numbers": _at((10, 3), _entry(4, _plus(1)))},
         _fail("layman-hankel", "(r=2, size=3): 2 vs 3"),
         id="layman-hankel",
     ),
@@ -447,13 +461,13 @@ FAIL_CASES = [
     ),
     pytest.param(
         "maxindex", G,
-        {"max_index": _at((3, 2), lambda rep: rep._replace(maximizers=(2, 4)))},
+        {"max_indices": _at((4, 2), _entry(2, lambda rep: rep._replace(maximizers=(2, 4))))},
         _fail("maximizing-index", "(n=3, r=2): maximizers (2, 4) not consecutive"),
         id="maximizing-index",
     ),
     pytest.param(
         "maxindex", G,
-        {"max_index": _at((4, 1), lambda rep: rep._replace(bound_holds=False))},
+        {"max_indices": _at((4, 1), _entry(3, lambda rep: rep._replace(bound_holds=False)))},
         _fail("maximizing-index", "(n=4, r=1): no maximizer within 1 of 99/52"),
         id="maximizing-index-bound",
     ),
@@ -549,7 +563,7 @@ def test_carlitz_checks_keep_their_own_first_counterexample(monkeypatch):
     # not end the others
     patches = {
         "carlitz_compositions": _at((1, 3, 2), _entry(2, _plus(1))),
-        "stirling_row": _at((2, 3, 1), _entry(2, _plus(1))),
+        "stirling_rows": _row_at((2, 3, 1), _entry(2, _plus(1))),
     }
     results = _run_patched(monkeypatch, patches, lambda: run_suite("carlitz", *G))
     assert results == [
@@ -664,9 +678,10 @@ def test_integral_errors_surface_in_scan_order(monkeypatch, capsys, patches, mes
 
 
 def test_cigler_zero_minor_is_a_counterexample(monkeypatch, capsys):
-    # B_{0,1} read as 0 makes the k = 0 elimination meet a zero 1x1 minor
-    zero_at = _at((0, 1), _const(IntPolynomial()))
-    monkeypatch.setattr(transforms, "rbell_poly", zero_at(transforms.rbell_poly))
+    # B_{0,1} read as 0 makes the k = 0 elimination meet a zero 1x1 minor;
+    # at n <= 4 that elimination reads B_{0..6,1}
+    zero_at = _at((6, 1), _entry(0, _const(IntPolynomial())))
+    monkeypatch.setattr(transforms, "rbell_polys", zero_at(transforms.rbell_polys))
     expected = _fail("cigler-determinants", "(k=0, r=1): leading 1x1 minor is zero; cannot eliminate")
     assert run_suite("cigler", *G) == [expected]
     assert main(["verify", "--suite", "cigler", *_grid_flags(*G)]) == 1
@@ -705,13 +720,13 @@ CAP_CASES = [
     ),
     pytest.param(
         # B_{4,7} is read as the shifted sequence at r = 6
-        "transforms", (4, 7), {"rbell_number": _at((4, 7), _plus(1))},
+        "transforms", (4, 7), {"rbell_numbers": _at((10, 7), _entry(4, _plus(1)))},
         _fail("layman-hankel", "(r=6, size=3): 2 vs 3"),
         id="layman-past-cap",
     ),
     pytest.param(
         # B_{4,8} is read only at r = 7, the grid's rmax
-        "transforms", (4, 7), {"rbell_number": _at((4, 8), _plus(1))},
+        "transforms", (4, 7), {"rbell_numbers": _at((10, 8), _entry(4, _plus(1)))},
         _fail("layman-hankel", "(r=7, size=3): 2 vs 3"),
         id="layman-at-cap",
     ),
