@@ -14,6 +14,7 @@ the caller; that keeps the verification plumbing uniform.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from itertools import accumulate
 from operator import mul
 
@@ -206,23 +207,31 @@ def whitehead_row_sum(n: int) -> int:
     return sum(rbell_number(i, n - i) for i in range(1, n + 1))
 
 
-def rbell_table(n_max: int, r_max: int) -> list[list[int]]:
-    """Matrix with entry (r, n) = B_{n,r}, rows r = 0..r_max, columns n = 0..n_max.
+def rbell_table_rows(n_max: int, r_max: int) -> Iterator[list[int]]:
+    """Rows r = 0..r_max of the r-Bell table in one walk: row r holds
+    B_{0,r}, ..., B_{n_max,r}.
 
     Row 0 holds the Bell numbers B_0..B_{n_max+r_max}, read off the first
-    column of the Bell triangle; each further row follows from Whitehead's
-    step B_{n,r+1} = B_{n+1,r} - r B_{n,r}, which shortens it by one.  This
-    route never touches the r-Stirling coefficients that rbell_number sums.
+    column of the Bell triangle; each further row follows from the one before
+    by Whitehead's step B_{n,r+1} = B_{n+1,r} - r B_{n,r}, which shortens it
+    by one, and is yielded cut to its first n_max + 1 entries.  This route
+    never touches the r-Stirling coefficients that rbell_number sums.  The
+    walk holds the current row and the last row of the Bell triangle, never
+    the whole table; the arguments are checked on the first step.
     """
     _check_natural(n_max=n_max, r_max=r_max)
-    bells = [1]
+    row = [1]
     triangle = [1]
     for _ in range(n_max + r_max):
         triangle = list(accumulate(triangle, initial=triangle[-1]))
-        bells.append(triangle[0])
-    table = [bells[: n_max + 1]]
-    row = bells
+        row.append(triangle[0])
+    yield row[: n_max + 1]
     for r in range(r_max):
         row = [b - r * a for a, b in zip(row, row[1:])]
-        table.append(row[: n_max + 1])
-    return table
+        yield row[: n_max + 1]
+
+
+def rbell_table(n_max: int, r_max: int) -> list[list[int]]:
+    """Matrix with entry (r, n) = B_{n,r}, rows r = 0..r_max, columns
+    n = 0..n_max: the rows of one :func:`rbell_table_rows` walk."""
+    return list(rbell_table_rows(n_max, r_max))

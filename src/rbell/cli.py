@@ -8,7 +8,8 @@ command's numeric arguments that are set.  Exact integers are serialized as
 decimal strings and rationals as "p/q" so that big values never pass through
 floats; the only floats printed are tolerances and approximation values
 paired with their error bounds.  ``table`` and ``verify`` print their own
-text, and ``table --format json`` writes a record through the same path.
+text; ``table --format json`` writes a record with the same head, one table
+row at a time.
 
 ``main`` builds the parser of the command that argv[0] names and no other;
 any other argv (help, none, an unknown command, a leading option) gets the
@@ -33,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .analytic import cesaro_integral, dobinski_eval, max_index, real_rootedness_report
-from .bell import rbell_number, rbell_poly, rbell_table
+from .bell import rbell_number, rbell_poly, rbell_table_rows
 from .errors import ConvergenceError, DomainError, InconsistencyError
 from .oracle import enumerate_restricted_partitions
 from .stirling import stirling1r, stirling2r
@@ -75,14 +76,19 @@ def _natural(text: str) -> int:
 _PARAMS = ("n", "k", "r", "x", "tol", "nmax", "rmax")
 
 
-def _emit(args, value) -> int:
+def _head(args) -> str:
+    """A record's text up to its value: the op, then the params that are set."""
     params = {}
     for name in _PARAMS:
         given = getattr(args, name, None)
         if given is not None:
             params[name] = str(given) if isinstance(given, Fraction) else given
-    record = {"op": args.command, "params": params, "value": value}
-    print(json.dumps(record, separators=(",", ":")))
+    record = json.dumps({"op": args.command, "params": params}, separators=(",", ":"))
+    return record[:-1] + ',"value":'
+
+
+def _emit(args, value) -> int:
+    print(_head(args) + json.dumps(value, separators=(",", ":")) + "}")
     return 0
 
 
@@ -91,16 +97,24 @@ def _emit(args, value) -> int:
 
 
 def _table(args) -> int:
-    rows = [[str(v) for v in row] for row in rbell_table(args.nmax, args.rmax)]
+    # json and csv write each row as the walk makes it, so the table is never
+    # held whole; every cell is a decimal string, which JSON needs no escape for
+    rows = rbell_table_rows(args.nmax, args.rmax)
+    write = sys.stdout.write
     if args.format == "json":
-        return _emit(args, rows)
+        write(_head(args) + "[")
+        for r, row in enumerate(rows):
+            write(("," if r else "") + '["' + '","'.join(map(str, row)) + '"]')
+        write("]}\n")
+        return 0
     header = [str(n) for n in range(args.nmax + 1)]
     if args.format == "csv":
-        print(",".join(["r/n"] + header))
+        write(",".join(["r/n"] + header) + "\n")
         for r, row in enumerate(rows):
-            print(",".join([str(r)] + row))
+            write(f"{r}," + ",".join(map(str, row)) + "\n")
         return 0
-    cells = [["r\\n"] + header] + [[str(r)] + row for r, row in enumerate(rows)]
+    # aligned text needs every cell before the first line, for the column widths
+    cells = [["r\\n"] + header] + [[str(r), *map(str, row)] for r, row in enumerate(rows)]
     widths = [max(map(len, column)) for column in zip(*cells)]
     for line in cells:
         print("  ".join(cell.rjust(w) for cell, w in zip(line, widths)))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from .algebra import IntPolynomial, fraction_free_det, leading_principal_minors, pochhammer
-from .bell import rbell_polys, rbell_table
+from .bell import rbell_polys, rbell_table_rows
 from .errors import DomainError
 from .stirling import _check_natural
 
@@ -49,15 +49,16 @@ def hankel_det(seq, n: int, k: int = 0):
 def hankel_transform_rbell(r: int, n_max: int) -> list[int]:
     """Hankel transform of (B_{m,r})_m: term n is the (n+1) x (n+1) determinant.
 
-    The sequence is row r of :func:`rbell_table`, and all terms come from one
-    elimination: they are the leading principal minors of the largest Hankel
-    matrix.  That matrix is the moment matrix of a positive measure, so every
-    minor is positive and no pivoting is needed.
+    The sequence is row r, the last row of one :func:`rbell_table_rows` walk,
+    and all terms come from one elimination: they are the leading principal
+    minors of the largest Hankel matrix.  That matrix is the moment matrix of
+    a positive measure, so every minor is positive and no pivoting is needed.
 
     Contract: term n equals 0! 1! ... n! regardless of r.
     """
     _check_natural(r=r, n_max=n_max)
-    seq = rbell_table(2 * n_max, r)[r]
+    for seq in rbell_table_rows(2 * n_max, r):
+        pass
     size = n_max + 1
     return leading_principal_minors([seq[i : i + size] for i in range(size)])
 

@@ -21,6 +21,7 @@ from rbell.bell import (
     rbell_polys_from_bell,
     rbell_polys_rec,
     rbell_table,
+    rbell_table_rows,
     whitehead_row_sum,
     whitehead_step,
 )
@@ -239,10 +240,14 @@ def test_rbell_table_matches_coefficient_route():
     assert rbell_table(0, 0) == [[1]]
     assert rbell_table(0, 3) == [[1], [1], [1], [1]]
     assert rbell_table(4, 0) == [[1, 1, 2, 5, 15]]
+    # the table is the list form of the row walk
+    assert rbell_table(9, 5) == list(rbell_table_rows(9, 5))
 
 
 def test_table_rejects_negative_sizes():
     with pytest.raises(DomainError):
         rbell_table(-1, 3)
+    with pytest.raises(DomainError):
+        next(rbell_table_rows(3, -1))
     with pytest.raises(DomainError):
         rbell_number(2, -2)

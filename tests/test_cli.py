@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,15 @@ def test_hankel_record(capsys):
     assert json.loads(out)["value"] == ["1", "1", "2"]
 
 
+# (nmax, rmax) grids at which each table format is checked against the
+# whole table: empty rows and columns, the golden 7 x 7, and a wide table
+TABLE_GRIDS = [(0, 0), (0, 7), (7, 0), (6, 6), (200, 40)]
+
+
+def _table_cells(nmax, rmax):
+    return [[str(v) for v in row] for row in rbell_table(nmax, rmax)]
+
+
 def test_table_plain(capsys):
     code, out, _ = run(capsys, "table", "--nmax", "2", "--rmax", "1")
     assert code == 0
@@ -86,18 +96,72 @@ def test_table_plain(capsys):
     assert lines[0].split() == ["r\\n", "0", "1", "2"]
     assert lines[1].split() == ["0", "1", "1", "2"]
     assert lines[2].split() == ["1", "1", "2", "5"]
+    for nmax, rmax in TABLE_GRIDS:
+        code, out, _ = run(capsys, "table", "--nmax", str(nmax), "--rmax", str(rmax))
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()]
+        assert rows[0] == ["r\\n"] + [str(n) for n in range(nmax + 1)]
+        assert rows[1:] == [[str(r)] + row for r, row in enumerate(_table_cells(nmax, rmax))]
 
 
 def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "--nmax", "2", "--rmax", "1", "--format", "csv")
     assert code == 0
     assert out == "r/n,0,1,2\n0,1,1,2\n1,1,2,5\n"
+    for nmax, rmax in TABLE_GRIDS:
+        argv = ("table", "--nmax", str(nmax), "--rmax", str(rmax), "--format", "csv")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = [",".join(["r/n"] + [str(n) for n in range(nmax + 1)])]
+        lines += [",".join([str(r)] + row) for r, row in enumerate(_table_cells(nmax, rmax))]
+        assert out == "\n".join(lines) + "\n", (nmax, rmax)
 
 
 def test_table_json_matches_golden_bytes(capsys):
     code, out, _ = run(capsys, "table", "--nmax", "6", "--rmax", "6", "--format", "json")
     assert code == 0
     assert out.encode() == GOLDEN.read_bytes()
+    # the streamed record is the one json.dumps makes of the whole table
+    for nmax, rmax in TABLE_GRIDS:
+        argv = ("table", "--nmax", str(nmax), "--rmax", str(rmax), "--format", "json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        params = {"nmax": nmax, "rmax": rmax}
+        record = {"op": "table", "params": params, "value": _table_cells(nmax, rmax)}
+        assert out == json.dumps(record, separators=(",", ":")) + "\n", (nmax, rmax)
+
+
+class _CharCount:
+    """A stdout that keeps only the number of characters written to it."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_streamed_table_holds_one_row_at_a_time(monkeypatch, fmt):
+    # the table's text is about 40 times its longest row; a command that
+    # writes each row as it is made holds a few rows' worth at most
+    longest = max(len(",".join(row)) for row in _table_cells(200, 40))
+    sink = _CharCount()
+    monkeypatch.setattr(sys, "stdout", sink)
+    # a first call makes the one-time imports (argparse's locale) untraced
+    assert main(["table", "--nmax", "0", "--rmax", "0", "--format", fmt]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["table", "--nmax", "200", "--rmax", "40", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.chars > 35 * longest
+    assert peak < 8 * longest
 
 
 def test_verify_all_matches_golden_bytes(capsys):
@@ -350,19 +414,22 @@ def test_startup_imports_no_dataclasses():
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
-    # the reader takes one line and closes the pipe, as `| head -1` does;
-    # the rest of a 41 x 301 table would not fit in the pipe's buffer
+    # the reader takes the first line (the JSON record is one line, so its
+    # first 64 bytes) and closes the pipe, as `| head -1` does; the rest of a
+    # 41 x 301 table would not fit in the pipe's buffer
     src = pathlib.Path(rbell.cli.__file__).parent.parent
     argv = [sys.executable, "-m", "rbell", "table", "--nmax", "300", "--rmax", "40"]
-    with subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    ) as proc:
-        assert proc.stdout.readline().startswith(b"r\\n")
-        proc.stdout.close()
-        err = proc.stderr.read()
-        code = proc.wait()
-    assert (code, err) == (1, b"")
+    for fmt, first in [("plain", b"r\\n"), ("csv", b"r/n,0,1,"), ("json", b'{"op":"table"')]:
+        with subprocess.Popen(
+            argv + ["--format", fmt], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        ) as proc:
+            head = proc.stdout.read(64) if fmt == "json" else proc.stdout.readline()
+            assert head.startswith(first), fmt
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait()
+        assert (code, err) == (1, b""), fmt
 
 
 def test_module_entry_point():
