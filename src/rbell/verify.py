@@ -1,17 +1,17 @@
 """Verification suites: every identity the library implements, run over
 parameter grids and reported as PASS / FAIL / KNOWN-ERRATUM check results.
 
-Every check is one row of the table ``_CHECKS``: its suite, its name, the
-function that scans its grid, the default nmax and rmax, and any cap on
-them.  A check function returns its first counterexample as a string, or
-None; the runner turns that into a ``CheckResult``.  A row named None
-reports its own list of results: the erratum, the two oracle checks from one
-enumeration, the three Carlitz checks from one scan, and the three integral
-checks, two of them from one quadrature per point.  Each check scans
-its grid in a fixed order and keeps its first counterexample, so reports
-are deterministic.  The one expected failure is the frequently printed
-simplified form of the cross-r polynomial recurrence, which is reported as
-KNOWN-ERRATUM (see bell.cross_r_printed); it does not fail a suite.
+Every row of the table ``_CHECKS`` holds its suite, the names of its checks,
+the scan that runs them over its grid, the default nmax and rmax, and any cap
+on them.  Most rows hold one check; the three Carlitz checks share one scan,
+the two oracle checks one enumeration, and the three integral checks one
+scan, two of them one quadrature per point.  Every scan is a generator that
+yields its counterexamples in a fixed scan order, and one runner keeps the
+first of each check, so reports are deterministic: a check with none
+passes, and a scan is closed as soon as each of its checks has one.  The
+one expected failure is the frequently printed simplified form of the
+cross-r polynomial recurrence, which is reported as KNOWN-ERRATUM (see
+bell.cross_r_printed); it does not fail a suite.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import pairwise
-from typing import Callable, NamedTuple
+from itertools import pairwise, product
+from typing import Callable, Iterator, NamedTuple
 
-from .algebra import ApproxReal, IntPolynomial
+from .algebra import IntPolynomial
 from .analytic import (
     cesaro_integral,
     dobinski_eval,
@@ -84,12 +84,6 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-def _result(name: str, counterexample: str | None) -> CheckResult:
-    if counterexample is None:
-        return CheckResult(name, "PASS")
-    return CheckResult(name, "FAIL", counterexample)
-
-
 def _points(nmax: int, rmax: int, n_from: int = 0, r_from: int = 0):
     """The (n, r) grid in the order every check scans it: r outer, n inner."""
     for r in range(r_from, rmax + 1):
@@ -105,40 +99,41 @@ def _row_points(nmax: int, rmax: int):
             yield n, r, row
 
 
-# Every check below takes the resolved (nmax, rmax) of its table row, None
-# for an axis it does not scan, and returns its first counterexample or None,
-# or, in a row named None, its own list of results.  A check that reads
-# consecutive rows of one r takes them from one walk per r (stirling_rows or
-# a list form built on it), in the same (r, n) order.
+# Every scan below takes the resolved (nmax, rmax) of its table row, None
+# for an axis it does not scan, and yields each counterexample as its detail
+# text.  A scan that names one of several checks of its row, or a status
+# other than FAIL, yields a triple (i, status, detail) for the row's check i
+# instead.  A scan that reads consecutive rows of one r takes them from one
+# walk per r (stirling_rows or a list form built on it), in the same (r, n)
+# order.
 
 # ---------------------------------------------------------------------------
 # definitions
 
 
-def _explicit_formula(nmax: int, rmax: int) -> str | None:
+def _explicit_formula(nmax: int, rmax: int) -> Iterator[str]:
     for n, r, row in _row_points(nmax, rmax):
         for k in range(n + 1):
             a = row[k]
             b = stirling2r_explicit(n, k, r)
             if a != b:
-                return f"(n={n}, k={k}, r={r}): recurrence {a} vs alternating sum {b}"
-    return None
+                yield f"(n={n}, k={k}, r={r}): recurrence {a} vs alternating sum {b}"
 
 
-def _row_sums(nmax: int, rmax: int) -> str | None:
+def _row_sums(nmax: int, rmax: int) -> Iterator[str]:
     # rbell_number sums this very row; the table takes the Bell-triangle route
     table = rbell_table(nmax, rmax)
     for n, r, row in _row_points(nmax, rmax):
         if r >= len(table) or n >= len(table[r]):
-            return f"(n={n}, r={r}): rbell_table has no entry B_{{n,r}}"
+            yield f"(n={n}, r={r}): rbell_table has no entry B_{{n,r}}"
+            continue
         total = sum(row)
         expected = table[r][n]
         if total != expected:
-            return f"(n={n}, r={r}): row sum {total} vs B = {expected}"
-    return None
+            yield f"(n={n}, r={r}): row sum {total} vs B = {expected}"
 
 
-def _cross_r_stirling(nmax: int, rmax: int) -> str | None:
+def _cross_r_stirling(nmax: int, rmax: int) -> Iterator[str]:
     for r in range(1, rmax + 1):
         # {n+r, k+r}_r at index k; {n-1+r, k+r}_{r-1} and {n+r, k+r}_{r-1} at
         # index k+1, two consecutive rows of the (r-1)-walk
@@ -149,11 +144,10 @@ def _cross_r_stirling(nmax: int, rmax: int) -> str | None:
                 lhs = row[k]
                 rhs = wider[k + 1] - (r - 1) * below[k + 1]
                 if lhs != rhs:
-                    return f"(n={n}, k={k}, r={r}): {lhs} vs {rhs}"
-    return None
+                    yield f"(n={n}, k={k}, r={r}): {lhs} vs {rhs}"
 
 
-def _log_concavity(nmax: int, rmax: int) -> str | None:
+def _log_concavity(nmax: int, rmax: int) -> Iterator[str]:
     for n, r, row in _row_points(nmax, rmax):
         row = (0, *row, 0)  # {n+r, k}_r at index k - r + 1
         for k in range(max(r, 1), n + r + 1):
@@ -161,17 +155,15 @@ def _log_concavity(nmax: int, rmax: int) -> str | None:
             middle = row[j] ** 2
             sides = row[j + 1] * row[j - 1]
             if middle < sides:
-                return f"(n={n}, k={k}, r={r}): {middle} < {sides}"
-    return None
+                yield f"(n={n}, k={k}, r={r}): {middle} < {sides}"
 
 
-def _number_table(nmax: None, rmax: None) -> str | None:
+def _number_table(nmax: None, rmax: None) -> Iterator[str]:
     if rbell_table(6, 6) != [list(row) for row in REFERENCE_BELL_TABLE]:
-        return "7x7 table differs from the reference values"
-    return None
+        yield "7x7 table differs from the reference values"
 
 
-def _polynomial_formulas(nmax: None, rmax: int) -> str | None:
+def _polynomial_formulas(nmax: None, rmax: int) -> Iterator[str]:
     for r in range(rmax + 1):
         closed_forms = (
             [1],
@@ -183,11 +175,10 @@ def _polynomial_formulas(nmax: None, rmax: int) -> str | None:
         for n, coeffs in enumerate(closed_forms):
             got, want = rbell_poly(n, r), IntPolynomial(coeffs)
             if got != want:
-                return f"(n={n}, r={r}): {got!r} vs closed form {want!r}"
-    return None
+                yield f"(n={n}, r={r}): {got!r} vs closed form {want!r}"
 
 
-def _bell_addition(nmax: int, rmax: None) -> str | None:
+def _bell_addition(nmax: int, rmax: None) -> Iterator[str]:
     points = (Fraction(1, 2), Fraction(1), Fraction(2))
     polys = rbell_polys(nmax, 0)
     # B_k(x) at each point, evaluated once and shared by every (n, y)
@@ -201,23 +192,21 @@ def _bell_addition(nmax: int, rmax: None) -> str | None:
                     for k in range(n + 1)
                 )
                 if lhs != rhs:
-                    return f"(n={n}, x={x}, y={y}): {lhs} vs {rhs}"
-    return None
+                    yield f"(n={n}, x={x}, y={y}): {lhs} vs {rhs}"
 
 
-def _horizontal(nmax: int, rmax: int) -> str | None:
+def _horizontal(nmax: int, rmax: int) -> Iterator[str]:
     for n, r in _points(nmax, rmax):
         residual = horizontal_check(n, r)
         if residual:
-            return f"(n={n}, r={r}): residual {residual!r}"
-    return None
+            yield f"(n={n}, r={r}): residual {residual!r}"
 
 
 # ---------------------------------------------------------------------------
 # recurrences
 
 
-def _route_agreement(nmax: int, rmax: int) -> str | None:
+def _route_agreement(nmax: int, rmax: int) -> Iterator[str]:
     for r in range(rmax + 1):
         # one walk each of the r-Stirling rows, the derivative recurrence and
         # the (r-1)-rows, and one set of ordinary Bell polynomials, serve
@@ -234,88 +223,79 @@ def _route_agreement(nmax: int, rmax: int) -> str | None:
                 routes["cross-r division"] = cross[n]
             for label, poly in routes.items():
                 if poly != direct:
-                    return f"(n={n}, r={r}): {label} gives {poly!r}, direct {direct!r}"
-    return None
+                    yield f"(n={n}, r={r}): {label} gives {poly!r}, direct {direct!r}"
 
 
-def _derivative_relation(nmax: int, rmax: int) -> str | None:
+def _derivative_relation(nmax: int, rmax: int) -> Iterator[str]:
     x = IntPolynomial([0, 1])
     for r in range(rmax + 1):
         for n, (p, after) in enumerate(pairwise(rbell_polys(nmax + 1, r))):
             lhs = x * p.derivative()
             rhs = after - r * p - x * p
             if lhs != rhs:
-                return f"(n={n}, r={r}): {lhs!r} vs {rhs!r}"
-    return None
+                yield f"(n={n}, r={r}): {lhs!r} vs {rhs!r}"
 
 
-def _monic_shape(nmax: int, rmax: int) -> str | None:
+def _monic_shape(nmax: int, rmax: int) -> Iterator[str]:
     for r in range(rmax + 1):
         for n, p in enumerate(rbell_polys(nmax, r)):
             if p.degree != n or p.leading_coefficient != 1:
-                return f"(n={n}, r={r}): {p!r} not monic of degree n"
+                yield f"(n={n}, r={r}): {p!r} not monic of degree n"
             if p.constant_term != r**n:
-                return f"(n={n}, r={r}): constant term {p.constant_term} vs r^n = {r**n}"
-    return None
+                yield f"(n={n}, r={r}): constant term {p.constant_term} vs r^n = {r**n}"
 
 
-def _whitehead(nmax: int, rmax: int) -> str | None:
+def _whitehead(nmax: int, rmax: int) -> Iterator[str]:
     for r in range(rmax + 1):
         pairs = zip(whitehead_steps(nmax, r), rbell_numbers(nmax + 1, r)[1:])
         for n, (stepped, expected) in enumerate(pairs):
             if stepped != expected:
-                return f"(n={n}, r={r}): {stepped} vs {expected}"
+                yield f"(n={n}, r={r}): {stepped} vs {expected}"
     for n, want in enumerate(REFERENCE_ROW_SUMS, start=1):
         got = whitehead_row_sum(n)
         if got != want:
-            return f"row sum at n={n}: {got} vs {want}"
-    return None
+            yield f"row sum at n={n}: {got} vs {want}"
 
 
-def _bell_shift(nmax: int, rmax: None) -> str | None:
+def _bell_shift(nmax: int, rmax: None) -> Iterator[str]:
     pairs = zip(rbell_numbers(nmax, 1), rbell_numbers(nmax + 1, 0)[1:])
     for n, (shifted, bell) in enumerate(pairs):
         if shifted != bell:
-            return f"n={n}"
-    return None
+            yield f"n={n}"
 
 
-def _erratum(nmax: None, rmax: None) -> list[CheckResult]:
+def _erratum(nmax: None, rmax: None) -> Iterator[tuple[int, str, str]]:
     """The one check that expects a disagreement: it reports KNOWN-ERRATUM
     when the printed form is wrong and the division form is right."""
     printed = cross_r_printed(2, 2)
     corrected = cross_r_step(2, 2)
     actual = rbell_poly(2, 2)
     if printed == actual or corrected != actual:
-        status, detail = "FAIL", (
+        yield 0, "FAIL", (
             "expected the printed simplified form to disagree and the division "
             f"form to agree; got printed {printed!r}, corrected {corrected!r}, "
             f"actual {actual!r}"
         )
     else:
-        status, detail = "KNOWN-ERRATUM", (
+        yield 0, "KNOWN-ERRATUM", (
             f"the commonly printed simplified recurrence gives {printed(1)} at "
             f"(n=2, r=2, x=1) where the table value is {actual(1)}; the corrected "
             "division form agrees everywhere"
         )
-    return [CheckResult("cross-r-printed-form", status, detail)]
 
 
 # ---------------------------------------------------------------------------
 # carlitz: nmax bounds n + m.
 
 
-def _carlitz(total: int, rmax: int) -> list[CheckResult]:
+def _carlitz(total: int, rmax: int) -> Iterator[tuple[int, str, str]]:
     """Three checks from one scan, each against one rbell_table built by the
     Bell triangle and Whitehead's step: the library's Carlitz composition and
-    inversion sums, which read r-Bell numbers off r-Stirling rows, and the
-    roundtrip, composition fed with the inversions, which must give
-    B_{n+m,r}.  Each (r, n) reads one list of each sum, for every m.  The
-    points are compared in (r, n, m) order; each check keeps its own first
-    counterexample."""
-    names = ("carlitz-compose", "carlitz-inverse", "carlitz-roundtrip")
+    inversion sums (checks 0 and 1), which read r-Bell numbers off r-Stirling
+    rows, and the roundtrip (check 2), composition fed with the inversions,
+    which must give B_{n+m,r}.  Each (r, n) reads one list of each sum, for
+    every m.  The points are compared in (r, n, m) order."""
     table = rbell_table(total, rmax + total)  # B_{n,r+m} at [r + m][n]
-    first = {}  # check name -> its first counterexample
     for r in range(rmax + 1):
         rows = list(stirling_rows(2, r, total + r))
         for n in range(total + 1):
@@ -328,38 +308,35 @@ def _carlitz(total: int, rmax: int) -> list[CheckResult]:
                     (inverses[m], "B = ", table[r + m][n]),
                     (recomposed, "", table[r][n + m]),
                 )
-                for name, (got, label, want) in zip(names, compared):
-                    if got != want and name not in first:
-                        first[name] = f"(n={n}, m={m}, r={r}): {got} vs {label}{want}"
-    return [_result(name, first.get(name)) for name in names]
+                for i, (got, label, want) in enumerate(compared):
+                    if got != want:
+                        yield i, "FAIL", f"(n={n}, m={m}, r={r}): {got} vs {label}{want}"
 
 
 # ---------------------------------------------------------------------------
 # transforms and Cigler's determinants
 
 
-def _transform_roundtrip(nmax: int, rmax: int) -> str | None:
+def _transform_roundtrip(nmax: int, rmax: int) -> Iterator[str]:
     for r in range(rmax + 1):
         seq = rbell_numbers(nmax, r)
         if inverse_binomial_transform(binomial_transform(seq)) != seq:
-            return f"r={r}"
+            yield f"r={r}"
         if binomial_transform(inverse_binomial_transform(seq)) != seq:
-            return f"r={r} (reverse order)"
-    return None
+            yield f"r={r} (reverse order)"
 
 
-def _poly_transform_relations(nmax: int, rmax: int) -> str | None:
+def _poly_transform_relations(nmax: int, rmax: int) -> Iterator[str]:
     upper = rbell_polys(nmax, 0)
     for r in range(rmax + 1):
         lower, upper = upper, rbell_polys(nmax, r + 1)
         if inverse_binomial_transform(lower) != upper:
-            return f"r={r}: inverse transform"
+            yield f"r={r}: inverse transform"
         if binomial_transform(upper) != lower:
-            return f"r={r}: forward transform"
-    return None
+            yield f"r={r}: forward transform"
 
 
-def _layman(nmax: None, rmax: int) -> str | None:
+def _layman(nmax: None, rmax: int) -> Iterator[str]:
     shifted = rbell_numbers(10, 0)
     for r in range(rmax + 1):
         base, shifted = shifted, rbell_numbers(10, r + 1)
@@ -367,54 +344,51 @@ def _layman(nmax: None, rmax: int) -> str | None:
             a = hankel_det(base, size)
             b = hankel_det(shifted, size)
             if a != b:
-                return f"(r={r}, size={size}): {a} vs {b}"
-    return None
+                yield f"(r={r}, size={size}): {a} vs {b}"
 
 
-def _hankel_products(nmax: None, rmax: int) -> str | None:
+def _hankel_products(nmax: None, rmax: int) -> Iterator[str]:
     expected = [math.prod(math.factorial(i) for i in range(m + 1)) for m in range(6)]
     for r in range(rmax + 1):
         got = hankel_transform_rbell(r, 5)
         if got != expected:
-            return f"r={r}: {got} vs {expected}"
-    return None
+            yield f"r={r}: {got} vs {expected}"
 
 
-def _log_convexity(nmax: int, rmax: int) -> str | None:
+def _log_convexity(nmax: int, rmax: int) -> Iterator[str]:
     length = max(nmax, 2)
     for r in range(rmax + 1):
         seq = rbell_numbers(length, r)
         if not log_convexity_check(seq):
-            return f"r={r}"
-    return None
+            yield f"r={r}"
 
 
-def _cigler(nmax: int, rmax: int) -> str | None:
+def _cigler(nmax: int, rmax: int) -> Iterator[str]:
     """Every d(n, k) of one r comes from one elimination per k; the points
     are compared in (r, n, k) order.  An elimination that meets a zero minor
-    is reported before any point of its r."""
+    is reported before any point of its r, and ends the scan."""
     if nmax < 1:
-        return None
+        return
     for r in range(rmax + 1):
         minors = []
         for k in (0, 1):
             try:
                 minors.append(cigler_minors(nmax, k, r))
             except InconsistencyError as exc:
-                return f"(k={k}, r={r}): {exc}"
+                yield f"(k={k}, r={r}): {exc}"
+                return
         for n in range(1, nmax + 1):
             for k in (0, 1):
                 computed, expected = minors[k][n - 1], cigler_closed_form(n, k, r)
                 if computed != expected:
-                    return f"(n={n}, k={k}, r={r}): {computed!r} vs {expected!r}"
-    return None
+                    yield f"(n={n}, k={k}, r={r}): {computed!r} vs {expected!r}"
 
 
 # ---------------------------------------------------------------------------
 # numeric routes: the dobinski, integral, ogf and kummer suites
 
 
-def _dobinski(nmax: int, rmax: int) -> str | None:
+def _dobinski(nmax: int, rmax: int) -> Iterator[str]:
     tol = 1e-9
     tn, td = tol.as_integer_ratio()
     for r in range(rmax + 1):
@@ -423,101 +397,87 @@ def _dobinski(nmax: int, rmax: int) -> str | None:
                 approx = dobinski_eval(n, r, x, tol)
                 exact = poly(x)
                 if not approx.encloses(exact):
-                    return f"(n={n}, r={r}, x={x}): {approx!r} does not enclose {exact}"
+                    yield f"(n={n}, r={r}, x={x}): {approx!r} does not enclose {exact}"
                 # err > tol * max(1, exact), cross-multiplied in integers
                 en, ed = approx.err.as_integer_ratio()
                 xn, xd = exact.as_integer_ratio()
                 if en * td * xd > tn * ed * max(xd, xn):
-                    return f"(n={n}, r={r}, x={x}): err {approx.err} above tol * max(1, exact)"
-    return None
+                    yield f"(n={n}, r={r}, x={x}): err {approx.err} above tol * max(1, exact)"
 
 
-def _quadrature(n: int, r: int) -> ApproxReal | str:
-    """cesaro_integral(n, r, 1e-8)'s value, or the text of its quadrature
-    error; a DomainError propagates."""
-    try:
-        return cesaro_integral(n, r, 1e-8).value
-    except (InconsistencyError, ConvergenceError) as exc:
-        return str(exc)
-
-
-def _sin_moment(nmax: int) -> str | None:
-    for j in range(7):
-        for n in range(1, nmax + 1):
-            approx = sin_moment(j, n, 1e-8)
-            # j^n / n! as one int quotient, since float(n!) overflows past n = 170;
-            # the float target carries a few ulp of rounding of its own
-            target = math.pi / 2 * (j**n / math.factorial(n))
-            off = abs(approx.value - target) > approx.err + 1e-15 * target
-            if off or approx.err > 1e-8 * max(1.0, target):
-                return f"(j={j}, n={n}): {approx.value!r} vs {target!r}"
-    return None
-
-
-def _integral(nmax: tuple[int, int], rmax: int) -> list[CheckResult]:
-    """Three checks in report order.  cesaro-integral and compelling-identity
-    share one pass that computes each quadrature once and keeps nothing past
-    its point: cesaro-integral compares it with rbell_number, and
-    compelling-identity compares e times it with the bare Dobinski series
-    sum_k (k+r)^n / k!.  A quadrature error is the counterexample of both,
-    and each keeps its own first counterexample.  sin-moment runs on its own
-    grid, n <= nmax[1].
+def _integral(nmax: tuple[int, int], rmax: int) -> Iterator[tuple[int, str, str]]:
+    """Three checks in report order.  cesaro-integral (check 0) and
+    compelling-identity (check 2) share one pass that computes each
+    quadrature once and keeps nothing past its point: check 0 compares it
+    with rbell_number, and check 2 compares e times it with the bare Dobinski
+    series sum_k (k+r)^n / k!.  A quadrature error is the counterexample of
+    both.  The pass computes nothing more for a check once it has a
+    counterexample.  sin-moment (check 1) then runs on its own grid,
+    n <= nmax[1], up to its first counterexample.
 
     Errors surface in the order of separate scans: one met while computing
     for cesaro-integral ends the run at once, one met only for
     compelling-identity closes that check and is raised after sin-moment."""
-    names = ("cesaro-integral", "compelling-identity")
-    first = {}  # check name -> its first counterexample
+    closed = set()  # the checks of the pass that need no further point
     deferred = None
     for n, r in _points(nmax[0], rmax, n_from=1):
-        cesaro = names[0] not in first
-        compelling = names[1] not in first and deferred is None
-        if not (cesaro or compelling):
-            break
         where = f"(n={n}, r={r}): "
-        quad = None
-        if cesaro:
-            exact = rbell_number(n, r)
-            quad = _quadrature(n, r)
-            if isinstance(quad, str):
-                first[names[0]] = where + quad
-            elif not quad.encloses(exact):
-                first[names[0]] = f"{where}{quad.value!r} vs exact {exact}"
-        if not compelling:
-            continue
+        if 2 not in closed:
+            try:
+                raw = dobinski_series_sum(n, r, 1, 1e-9)
+            except DomainError as exc:
+                deferred = exc
+                closed.add(2)
+        open_checks = sorted({0, 2} - closed)
+        if not open_checks:
+            break
         try:
-            raw = dobinski_series_sum(n, r, 1, 1e-9)
-            if quad is None:
-                quad = _quadrature(n, r)
+            quad = cesaro_integral(n, r, 1e-8).value
         except DomainError as exc:
+            if 0 in open_checks:
+                raise
             deferred = exc
+            closed.add(2)
             continue
-        if isinstance(quad, str):
-            first[names[1]] = where + quad
+        except (InconsistencyError, ConvergenceError) as exc:
+            closed.update(open_checks)
+            for i in open_checks:
+                yield i, "FAIL", where + str(exc)
             continue
-        lhs = raw.value
-        rhs = math.e * quad.value
-        allowance = raw.err + math.e * quad.err + 1e-12 * max(1.0, abs(lhs))
-        if abs(lhs - rhs) > allowance:
-            first[names[1]] = f"{where}|{lhs!r} - {rhs!r}| above {allowance!r}"
-    sin_result = _result("sin-moment", _sin_moment(nmax[1]))
+        if 0 in open_checks and not quad.encloses(exact := rbell_number(n, r)):
+            closed.add(0)
+            yield 0, "FAIL", f"{where}{quad.value!r} vs exact {exact}"
+        if 2 in open_checks:
+            lhs = raw.value
+            rhs = math.e * quad.value
+            allowance = raw.err + math.e * quad.err + 1e-12 * max(1.0, abs(lhs))
+            if abs(lhs - rhs) > allowance:
+                closed.add(2)
+                yield 2, "FAIL", f"{where}|{lhs!r} - {rhs!r}| above {allowance!r}"
+    for j, n in product(range(7), range(1, nmax[1] + 1)):
+        approx = sin_moment(j, n, 1e-8)
+        # j^n / n! as one int quotient, since float(n!) overflows past n = 170;
+        # the float target carries a few ulp of rounding of its own
+        target = math.pi / 2 * (j**n / math.factorial(n))
+        off = abs(approx.value - target) > approx.err + 1e-15 * target
+        if off or approx.err > 1e-8 * max(1.0, target):
+            yield 1, "FAIL", f"(j={j}, n={n}): {approx.value!r} vs {target!r}"
+            break
     if deferred is not None:
         raise deferred
-    return [_result(names[0], first.get(names[0])), sin_result, _result(names[1], first.get(names[1]))]
 
 
-def _ogf(mmax: int, rmax: int) -> str | None:
+def _ogf(mmax: int, rmax: int) -> Iterator[str]:
     for r in range(rmax + 1):
         for m in range(mmax + 1):
             # z = 1/d with r <= d <= m + r is a pole of the generating function
             for z in (Fraction(1, d) for d in (100, 50, 2 * (m + r + 1)) if not r <= d <= m + r):
                 lhs, rhs = ogf_coefficient_pair(m, r, z)
                 if lhs != rhs:
-                    return f"(m={m}, r={r}, z={z}): {lhs} vs {rhs}"
-    return None
+                    yield f"(m={m}, r={r}, z={z}): {lhs} vs {rhs}"
 
 
-def _egf(nmax: int, rmax: int) -> str | None:
+def _egf(nmax: int, rmax: int) -> Iterator[str]:
     for r in range(rmax + 1):
         polys = rbell_polys(nmax, r)
         for x in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3)):
@@ -525,81 +485,72 @@ def _egf(nmax: int, rmax: int) -> str | None:
                 fact = math.factorial(n)
                 expected = polys[n](x)
                 if fact * c != expected:
-                    return f"(n={n}, r={r}, x={x}): n!*c = {fact * c} vs {expected}"
-    return None
+                    yield f"(n={n}, r={r}, x={x}): n!*c = {fact * c} vs {expected}"
 
 
-def _kummer(nmax: None, rmax: None) -> str | None:
+def _kummer(nmax: None, rmax: None) -> Iterator[str]:
     tol = 1e-10
     for a in (Fraction(1, 2), Fraction(1), Fraction(2)):
         for b in (Fraction(3, 2), Fraction(2), Fraction(3)):
             for x in (Fraction(-2), Fraction(-1, 2), Fraction(1, 2), Fraction(2)):
                 residual = kummer_residual(a, b, x, tol)
                 if residual.value > residual.err + tol:
-                    return f"(a={a}, b={b}, x={x}): residual {residual!r}"
-    return None
+                    yield f"(a={a}, b={b}, x={x}): residual {residual!r}"
 
 
 # ---------------------------------------------------------------------------
 # root structure and the maximizing index
 
 
-def _real_rootedness(nmax: int, rmax: int) -> str | None:
+def _real_rootedness(nmax: int, rmax: int) -> Iterator[str]:
     for n, r in _points(nmax, rmax, n_from=1):
         report = real_rootedness_report(n, r)
         if report != ((n, n, False) if r >= 1 else (n, n - 1, True)):
-            return f"(n={n}, r={r}): {report}"
-    return None
+            yield f"(n={n}, r={r}): {report}"
 
 
-def _maximizing_index(nmax: int, rmax: int) -> str | None:
+def _maximizing_index(nmax: int, rmax: int) -> Iterator[str]:
     for r in range(rmax + 1):
         for n, report in enumerate(max_indices(nmax, r), start=1):
             ks = report.maximizers
             if ks != tuple(range(ks[0], ks[0] + len(ks))):
-                return f"(n={n}, r={r}): maximizers {ks} not consecutive"
+                yield f"(n={n}, r={r}): maximizers {ks} not consecutive"
             if not report.bound_holds:
-                return f"(n={n}, r={r}): no maximizer within 1 of {report.ratio_estimate}"
-    return None
+                yield f"(n={n}, r={r}): no maximizer within 1 of {report.ratio_estimate}"
 
 
 # ---------------------------------------------------------------------------
 # oracle
 
 
-def _oracle(nmax: int, rmax: int) -> list[CheckResult]:
+def _oracle(nmax: int, rmax: int) -> Iterator[tuple[int, str, str]]:
     """Two checks from one enumeration: the enumerated counts against the
     library, then B_{n,r} increasing in r over the enumerated totals.  Only
     n + r <= 12 is enumerated, by one walk of the restricted growth strings
     for the whole grid (oracle.enumerate_grid): each point is the subtree
     below the staircase 0, 1, ..., r-1, and the default grid visits each of
     the 820,987 nonempty strings of length at most 11 once.  The points are
-    compared in scan order, and both checks stop at the first mismatch."""
+    compared in scan order, and the first mismatch of counts (check 0) ends
+    the totals that the monotonicity check (check 1) reads."""
     points = [(n, r) for n, r in _points(min(nmax, 12), min(rmax, 12)) if n + r <= 12]
     counts = enumerate_grid(points).counts
-    totals = {}
-    mismatch = None
+    totals = {}  # in scan order, r outer
     for n, r in points:
         found = counts[n, r]
         totals[n, r] = found.total
         if found.total != rbell_number(n, r):
-            mismatch = f"(n={n}, r={r}): enumerated {found.total} vs {rbell_number(n, r)}"
+            yield 0, "FAIL", f"(n={n}, r={r}): enumerated {found.total} vs {rbell_number(n, r)}"
             break
         row = stirling_row(2, n + r, r)
-        for k, count in found.by_blocks.items():
-            if count != row[k - r]:
-                mismatch = f"(n={n}, r={r}, k={k}): enumerated {count} vs {row[k - r]}"
-                break
-        if mismatch is not None:
+        wrong = [(k, count) for k, count in found.by_blocks.items() if count != row[k - r]]
+        if wrong:
+            k, count = wrong[0]
+            yield 0, "FAIL", f"(n={n}, r={r}, k={k}): enumerated {count} vs {row[k - r]}"
             break
-
-    violation = None
-    for (n, r), lower in sorted(totals.items(), key=lambda item: item[0][::-1]):
+    for (n, r), lower in totals.items():
         upper = totals.get((n, r + 1))
         if upper is not None and upper < lower:
-            violation = f"(n={n}, r={r}): {upper} < {lower}"
-            break
-    return [_result("oracle-totals", mismatch), _result("oracle-monotonicity", violation)]
+            yield 1, "FAIL", f"(n={n}, r={r}): {upper} < {lower}"
 
 
 # ---------------------------------------------------------------------------
@@ -607,55 +558,54 @@ def _oracle(nmax: int, rmax: int) -> list[CheckResult]:
 
 
 class _Check(NamedTuple):
-    """One check: its suite, its name (None when the check reports its own
-    results), its scan, and its grid.  nmax and rmax are the defaults the
-    user's --nmax/--rmax replace, None for an axis the check does not scan;
-    a row that reports checks on different n grids has a tuple of nmax
-    defaults, each resolved alone.  n_cap bounds the resolved nmax."""
+    """One row: its suite, the names of its checks in report order, its scan,
+    and its grid.  nmax and rmax are the defaults the user's --nmax/--rmax
+    replace, None for an axis the row does not scan; a row that reports
+    checks on different n grids has a tuple of nmax defaults, each resolved
+    alone.  n_cap bounds the resolved nmax."""
 
     suite: str
-    name: str | None
+    names: tuple[str, ...]
     scan: Callable
     nmax: int | tuple[int, ...] | None
     rmax: int | None
     n_cap: int | None = None
 
 
-# Rows are in report order; a suite's rows are contiguous.  A row named None
-# reports its own results: one for the erratum, two for the oracle and three
-# each for carlitz and integral.
+# Rows are in report order; a suite's rows are contiguous.  Three rows scan
+# for several checks at once: carlitz, integral and oracle.
 _CHECKS = (
-    _Check("definitions", "explicit-formula", _explicit_formula, 12, 8),
-    _Check("definitions", "stirling-row-sums", _row_sums, 12, 8),
-    _Check("definitions", "cross-r-stirling", _cross_r_stirling, 12, 8),
-    _Check("definitions", "stirling-log-concavity", _log_concavity, 12, 8),
-    _Check("definitions", "number-table", _number_table, None, None),
-    _Check("definitions", "polynomial-formulas", _polynomial_formulas, None, 8),
-    _Check("definitions", "bell-addition", _bell_addition, 10, None),
-    _Check("definitions", "horizontal-gf", _horizontal, 12, 8),
-    _Check("recurrences", "route-agreement", _route_agreement, 12, 8),
-    _Check("recurrences", "derivative-relation", _derivative_relation, 12, 8),
-    _Check("recurrences", "monic-shape", _monic_shape, 12, 8),
-    _Check("recurrences", "whitehead-step", _whitehead, 12, 8),
-    _Check("recurrences", "bell-shift", _bell_shift, 12, None),
-    _Check("recurrences", None, _erratum, None, None),
-    _Check("carlitz", None, _carlitz, 10, 6),
-    _Check("transforms", "transform-roundtrip", _transform_roundtrip, 10, 6),
-    _Check("transforms", "poly-binomial-relations", _poly_transform_relations, 10, 6),
-    _Check("transforms", "layman-hankel", _layman, None, 6),
-    _Check("transforms", "hankel-products", _hankel_products, None, 6),
-    _Check("transforms", "log-convexity", _log_convexity, 12, 8),
+    _Check("definitions", ("explicit-formula",), _explicit_formula, 12, 8),
+    _Check("definitions", ("stirling-row-sums",), _row_sums, 12, 8),
+    _Check("definitions", ("cross-r-stirling",), _cross_r_stirling, 12, 8),
+    _Check("definitions", ("stirling-log-concavity",), _log_concavity, 12, 8),
+    _Check("definitions", ("number-table",), _number_table, None, None),
+    _Check("definitions", ("polynomial-formulas",), _polynomial_formulas, None, 8),
+    _Check("definitions", ("bell-addition",), _bell_addition, 10, None),
+    _Check("definitions", ("horizontal-gf",), _horizontal, 12, 8),
+    _Check("recurrences", ("route-agreement",), _route_agreement, 12, 8),
+    _Check("recurrences", ("derivative-relation",), _derivative_relation, 12, 8),
+    _Check("recurrences", ("monic-shape",), _monic_shape, 12, 8),
+    _Check("recurrences", ("whitehead-step",), _whitehead, 12, 8),
+    _Check("recurrences", ("bell-shift",), _bell_shift, 12, None),
+    _Check("recurrences", ("cross-r-printed-form",), _erratum, None, None),
+    _Check("carlitz", ("carlitz-compose", "carlitz-inverse", "carlitz-roundtrip"), _carlitz, 10, 6),
+    _Check("transforms", ("transform-roundtrip",), _transform_roundtrip, 10, 6),
+    _Check("transforms", ("poly-binomial-relations",), _poly_transform_relations, 10, 6),
+    _Check("transforms", ("layman-hankel",), _layman, None, 6),
+    _Check("transforms", ("hankel-products",), _hankel_products, None, 6),
+    _Check("transforms", ("log-convexity",), _log_convexity, 12, 8),
     # Without its cap, cigler at --nmax 14 --rmax 9 takes 0.66-1.08 s instead of
     # 0.015-0.026 s (Python 3.11, 2 vCPUs, cold process).
-    _Check("cigler", "cigler-determinants", _cigler, 5, 4, n_cap=6),
-    _Check("dobinski", "dobinski-enclosure", _dobinski, 15, 6),
-    _Check("integral", None, _integral, (8, 6), 4),
-    _Check("ogf", "ogf-coefficient-pair", _ogf, 10, 6),
-    _Check("ogf", "egf-coefficients", _egf, 12, 6),
-    _Check("kummer", "kummer-transformation", _kummer, None, None),
-    _Check("roots", "real-rootedness", _real_rootedness, 15, 8),
-    _Check("maxindex", "maximizing-index", _maximizing_index, 30, 10),
-    _Check("oracle", None, _oracle, 12, 12),
+    _Check("cigler", ("cigler-determinants",), _cigler, 5, 4, n_cap=6),
+    _Check("dobinski", ("dobinski-enclosure",), _dobinski, 15, 6),
+    _Check("integral", ("cesaro-integral", "sin-moment", "compelling-identity"), _integral, (8, 6), 4),
+    _Check("ogf", ("ogf-coefficient-pair",), _ogf, 10, 6),
+    _Check("ogf", ("egf-coefficients",), _egf, 12, 6),
+    _Check("kummer", ("kummer-transformation",), _kummer, None, None),
+    _Check("roots", ("real-rootedness",), _real_rootedness, 15, 8),
+    _Check("maxindex", ("maximizing-index",), _maximizing_index, 30, 10),
+    _Check("oracle", ("oracle-totals", "oracle-monotonicity"), _oracle, 12, 12),
 )
 
 
@@ -669,12 +619,21 @@ def _axis(default, given: int | None, cap: int | None = None):
 
 
 def _run_rows(suite: str, nmax: int | None, rmax: int | None) -> list[CheckResult]:
+    """Run every row of one suite, keeping the first counterexample of each
+    check: a check with none passes.  A row's scan is closed as soon as each
+    of its checks has one."""
     results = []
     for check in _CHECKS:
-        if check.suite == suite:
-            n, r = _axis(check.nmax, nmax, check.n_cap), _axis(check.rmax, rmax)
-            found = check.scan(n, r)
-            results += found if check.name is None else [_result(check.name, found)]
+        if check.suite != suite:
+            continue
+        first = {}  # check index -> its result
+        scan = check.scan(_axis(check.nmax, nmax, check.n_cap), _axis(check.rmax, rmax))
+        for found in scan:
+            i, status, detail = (0, "FAIL", found) if isinstance(found, str) else found
+            first.setdefault(i, CheckResult(check.names[i], status, detail))
+            if len(first) == len(check.names):
+                scan.close()
+        results += [first.get(i, CheckResult(name, "PASS")) for i, name in enumerate(check.names)]
     return results
 
 

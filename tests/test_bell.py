@@ -104,7 +104,7 @@ def test_rbell_polys_from_bell_builds_each_bell_polynomial_once(monkeypatch):
     monkeypatch.setattr(bell, "rbell_polys", lambda n, r: walks.append((n, r)) or original(n, r))
     # route-agreement at --nmax 14 --rmax 9 reads B_0..B_14 from one walk per
     # r, and for r >= 1 its cross-r division reads B_{0..15,r-1} from one more
-    assert verify._route_agreement(14, 9) is None
+    assert list(verify._route_agreement(14, 9)) == []
     assert sorted(walks) == sorted([(14, 0)] * 10 + [(15, r) for r in range(9)])
 
 

@@ -573,6 +573,83 @@ def test_carlitz_checks_keep_their_own_first_counterexample(monkeypatch):
     ]
 
 
+def _counted(seen, make=None):
+    """Patch maker: the patch make builds (or the real function), with each
+    call's arguments appended to seen."""
+
+    def wrap(original):
+        patched = make(original) if make else original
+
+        def fake(*args):
+            seen.append(args)
+            return patched(*args)
+
+        return fake
+
+    return wrap
+
+
+def _origin_reads(value):
+    """Patch maker for rbell_table: B_{0,0} reads value."""
+
+    def make(original):
+        def fake(*args):
+            table = original(*args)
+            table[0][0] = value
+            return table
+
+        return fake
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "suite, patches, counted, calls, expected",
+    [
+        # every Carlitz check fails at (n=0, m=0, r=0), so the scan ends at
+        # its first (r, n) pair of the 20 at (4, 3)
+        pytest.param(
+            "carlitz",
+            {"rbell_table": _origin_reads(2)},
+            "carlitz_compositions",
+            1,
+            [
+                _fail("carlitz-compose", "(n=0, m=0, r=0): 1 vs B = 2"),
+                _fail("carlitz-inverse", "(n=0, m=0, r=0): 1 vs B = 2"),
+                _fail("carlitz-roundtrip", "(n=0, m=0, r=0): 1 vs 2"),
+            ],
+            id="carlitz",
+        ),
+        # 15 points (n, k) of r = 0 and 5 of r = 1 up to (n=2, k=1, r=1)
+        pytest.param(
+            "definitions",
+            {"stirling2r_explicit": _at((2, 1, 1), _plus(1))},
+            "stirling2r_explicit",
+            20,
+            [_fail("explicit-formula", "(n=2, k=1, r=1): recurrence 3 vs alternating sum 4")],
+            id="explicit-formula",
+        ),
+    ],
+)
+def test_a_scan_ends_once_each_of_its_checks_has_a_counterexample(
+    monkeypatch, suite, patches, counted, calls, expected
+):
+    seen = []
+    patches = {**patches, counted: _counted(seen, patches.get(counted))}
+    results = _run_patched(monkeypatch, patches, lambda: run_suite(suite, *G))
+    assert [check for check in results if check.status == "FAIL"] == expected
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("grid", [(0, 0), (1, 0)])
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_empty_and_tiny_grids_pass_with_every_check(suite, grid):
+    # cigler scans no n < 1, and the integral pass no point at all on either
+    results = run_suite(suite, *grid)
+    assert [check.name for check in results] == [check.name for check in run_suite(suite)]
+    assert {check.status for check in results} <= {"PASS", "KNOWN-ERRATUM"}
+
+
 def test_compelling_identity_reports_a_quadrature_error(monkeypatch, capsys):
     # cesaro_integral raises at (3, 1) on every call: both checks that call it
     # report the error as their counterexample, and the report stays whole
@@ -675,6 +752,50 @@ def test_integral_errors_surface_in_scan_order(monkeypatch, capsys, patches, mes
     assert _run_patched(monkeypatch, patches, lambda: main(argv)) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "patches, statuses, calls",
+    [
+        # a quadrature error at (3, 1), the 7th of 16 points, closes both
+        # checks of the pass
+        (
+            {"cesaro_integral": _raise_at((3, 1), ConvergenceError("refinement cap"))},
+            ["FAIL", "PASS", "FAIL"],
+            (7, 7, 28),
+        ),
+        # a wrong series at (2, 0), the 2nd point, closes compelling-identity
+        (
+            {"dobinski_series_sum": _at((2, 0, 1, 1e-9), _const(ApproxReal(0.0, 0.0)))},
+            ["PASS", "PASS", "FAIL"],
+            (16, 2, 28),
+        ),
+        # sin-moment stops at its first counterexample, its first point
+        (
+            {"sin_moment": _at((0, 1, 1e-8), _const(ApproxReal(5.0, 0.0)))},
+            ["PASS", "FAIL", "PASS"],
+            (16, 16, 1),
+        ),
+    ],
+    ids=["quadrature-error", "series-mismatch", "sin-moment"],
+)
+def test_integral_computes_nothing_for_a_closed_check(monkeypatch, patches, statuses, calls):
+    seen = {name: [] for name in ("cesaro_integral", "dobinski_series_sum", "sin_moment")}
+    patches = {name: _counted(seen[name], patches.get(name)) for name in seen}
+    results = _run_patched(monkeypatch, patches, lambda: run_suite("integral", *G))
+    assert [check.status for check in results] == statuses
+    assert tuple(len(seen[name]) for name in seen) == calls
+
+
+def test_a_range_error_met_for_cesaro_integral_ends_the_run_at_once(monkeypatch, capsys):
+    # sin-moment, which would raise later, never runs
+    patches = {
+        "cesaro_integral": _raise_at((3, 1), DomainError("integral at (3, 1)")),
+        "sin_moment": _raise_at((1, 1), DomainError("moment at (1, 1)")),
+    }
+    argv = ["verify", "--suite", "integral", *_grid_flags(*G)]
+    assert _run_patched(monkeypatch, patches, lambda: main(argv)) == 2
+    assert capsys.readouterr().err == "error: integral at (3, 1)\n"
 
 
 def test_cigler_zero_minor_is_a_counterexample(monkeypatch, capsys):
