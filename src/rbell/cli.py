@@ -188,7 +188,8 @@ COMMANDS = (
         ("--format", {"choices": ("plain", "csv", "json"), "default": "plain"}),
     ), run=_table),
     Command("bell", "r-Bell number, polynomial, or evaluation", (_N, _R, [
-        ("--x", {"type": _rational, "help": "evaluate the polynomial at P/Q"}),
+        ("--x", {"type": _rational, "help": (
+            "evaluate the polynomial at P/Q; write a negative fraction as --x=-P/Q")}),
         ("--poly", {"action": "store_true", "help": "print coefficients low-to-high"}),
     ]), _bell),
     Command("stirling2", "r-Stirling number of the second kind", (_N, _K, _R),

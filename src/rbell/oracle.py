@@ -14,21 +14,27 @@ The walk goes down the staircase.  The staircase of length L has L children
 that repeat a label; they root the subtree of strings whose staircase length
 is exactly L.  That subtree is walked down to T_L, the longest string that
 any requested point with r <= L counts, so the walk is pruned to the union of
-the requested points' trees.  Every prefix shorter than T_L is visited one
-by one and tallied by (length, L, block count).  The strings of length T_L
-are counted in bulk from the visited (T_L - 1)-prefixes: a prefix with j
-blocks has j children that join a block (j blocks) and one that opens one
-(j+1 blocks).  Point (n, r) reads the tallies at length n+r, summed over
-L >= r.  On the oracle suite's default grid, every point with n + r <= 12,
-each nonempty string of length up to 11 is visited once: sum B_l over
-l = 1..11, that is 820,987 prefixes.
+the requested points' trees.  It goes a level at a time.  A level is a bytes
+string with one byte per visited prefix, the byte being the prefix's block
+count; a visited prefix is shorter than n + r <= 13, so the count fits a
+byte.  A prefix with j blocks has j children that join a block (j blocks)
+and one that opens one (j+1 blocks), so the next level is each byte replaced
+by its children's bytes.  Levels are cut into chunks of _CHUNK bytes on an
+explicit stack, so the frontier stays a few hundred KB at any grid.  Each
+visited level is tallied by (length, L, block count), one count per byte,
+and the strings of length T_L are counted in bulk from the visited
+(T_L - 1)-prefixes.  Point (n, r) reads the tallies at length n+r, summed
+over L >= r.  On the oracle suite's default grid, every point with
+n + r <= 12, each nonempty string of length up to 11 is visited once: sum B_l
+over l = 1..11, that is 820,987 prefixes.
 
 Sharing the walk does not re-derive the recurrence of the r-Stirling
-numbers.  Every tally below T_L counts visits, one per prefix, and no tally
-is computed from another.  Only a point's last element is counted in bulk,
-and only from prefixes that were visited.  The walk keeps no memo on (length,
-block count) and counts no two trailing elements in closed form, so this
-module stays an independent check on the Stirling recurrences.
+numbers.  Every prefix below T_L is one byte of its level, every tally counts
+bytes, and no tally is computed from another.  Only a point's last element
+is counted in bulk, and only from prefixes that were visited.  The walk keeps
+no memo on (length, block count) and counts no two trailing elements in
+closed form, so this module stays an independent check on the Stirling
+recurrences.
 """
 
 from __future__ import annotations
@@ -40,6 +46,14 @@ from .errors import DomainError
 from .stirling import _check_natural
 
 _MAX_ELEMENTS = 13
+# the bytes of a prefix's children, by the prefix's block count j: j that
+# join a block, then one that opens block j+1.  Only prefixes of at most
+# _MAX_ELEMENTS - 2 elements are expanded, and below a staircase a prefix
+# has fewer blocks than elements, so j stays below _MAX_ELEMENTS - 2.
+_CHILDREN = tuple(bytes([j]) * j + bytes([j + 1]) for j in range(_MAX_ELEMENTS - 2))
+# the most prefixes a level's chunk holds; a chunk expands to at most 11
+# times as many, so the stack holds a few hundred KB
+_CHUNK = 1024
 
 
 class PartitionCounts(NamedTuple):
@@ -53,7 +67,7 @@ class PartitionCounts(NamedTuple):
 
 class GridCounts(NamedTuple):
     """The counts at every requested point, and the number of nonempty
-    prefixes the one walk visited one by one."""
+    prefixes the one walk visited, one byte each."""
 
     counts: dict[tuple[int, int], PartitionCounts]
     prefixes: int
@@ -112,40 +126,26 @@ def enumerate_grid(points: Iterable[tuple[int, int]]) -> GridCounts:
 def _walk(stair: int, rows: list[list[int]]) -> None:
     """Walk the subtree below the staircase of length stair.  rows[d] tallies
     by block count the strings at depth d below the staircase; the prefixes at
-    depths up to len(rows) - 2 are visited one by one, and the last row is
-    counted in bulk from the row just above it."""
+    depths up to len(rows) - 2 are visited as chunks of their levels, one
+    byte each, and the last row is counted in bulk from the row just above
+    it."""
     last = rows[-1]
     deepest = len(rows) - 2
-
-    def below(d: int, j: int, opening: bool) -> None:
-        # the children at depth d of a prefix with j blocks: j join one of its
-        # blocks, and one opens a new block unless the prefix is the staircase
-        row = rows[d]
-        if d == deepest:
-            # each iteration is one visited prefix with j blocks: its last
-            # element joins one of j blocks, or opens one more
-            seen = joined = 0
-            for _ in range(j):
-                seen += 1
-                joined += j
-            row[j] += seen
-            last[j] += joined
-            last[j + 1] += seen
-            if opening:
-                k = j + 1
-                row[k] += 1
-                last[k] += k
-                last[k + 1] += 1
-            return
-        d += 1
-        for _ in range(j):
-            row[j] += 1
-            below(d, j, True)
-        if opening:
-            row[j + 1] += 1
-            below(d, j + 1, True)
-
     if deepest < 0:  # the staircase's children are the last row
         last[stair] += stair
-    else:
-        below(0, stair, False)
+        return
+    # the staircase's children repeat a label: none opens a block
+    stack = [(0, bytes([stair]) * stair)]
+    while stack:
+        d, level = stack.pop()
+        row = rows[d]
+        for j in range(stair, stair + d + 1):  # the block counts at depth d
+            seen = level.count(j)
+            row[j] += seen
+            if d == deepest:
+                # each last element joins one of j blocks, or opens one more
+                last[j] += j * seen
+                last[j + 1] += seen
+        if d < deepest:
+            level = b"".join(map(_CHILDREN.__getitem__, level))
+            stack += ((d + 1, level[i:i + _CHUNK]) for i in range(0, len(level), _CHUNK))

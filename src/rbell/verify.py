@@ -52,7 +52,7 @@ from .bell import (
 )
 from .errors import ConvergenceError, DomainError, InconsistencyError
 from .oracle import enumerate_grid
-from .stirling import binomial, horizontal_check, stirling2r_explicit, stirling_row, stirling_rows
+from .stirling import binomial, horizontal_check, stirling2r_explicit, stirling_rows
 from .transforms import (
     binomial_transform,
     cigler_closed_form,
@@ -528,20 +528,23 @@ def _oracle(nmax: int, rmax: int) -> Iterator[tuple[int, str, str]]:
     library, then B_{n,r} increasing in r over the enumerated totals.  Only
     n + r <= 12 is enumerated, by one walk of the restricted growth strings
     for the whole grid (oracle.enumerate_grid): each point is the subtree
-    below the staircase 0, 1, ..., r-1, and the default grid visits each of
-    the 820,987 nonempty strings of length at most 11 once.  The points are
-    compared in scan order, and the first mismatch of counts (check 0) ends
-    the totals that the monotonicity check (check 1) reads."""
-    points = [(n, r) for n, r in _points(min(nmax, 12), min(rmax, 12)) if n + r <= 12]
+    below the staircase 0, 1, ..., r-1, walked a level at a time with one
+    byte per prefix, and the default grid visits each of the 820,987
+    nonempty strings of length at most 11 once.  The library side is row
+    n + r of one r-Stirling walk per r, stopping at row 12, and its sum.  The
+    points are compared in scan order, and the first mismatch of counts
+    (check 0) ends the totals that the monotonicity check (check 1) reads."""
+    nmax, rmax = min(nmax, 12), min(rmax, 12)
+    points = [(n, r) for n, r in _points(nmax, rmax) if n + r <= 12]
     counts = enumerate_grid(points).counts
+    rows = (row for r in range(rmax + 1) for row in stirling_rows(2, r, min(nmax + r, 12)))
     totals = {}  # in scan order, r outer
-    for n, r in points:
+    for (n, r), row in zip(points, rows):
         found = counts[n, r]
         totals[n, r] = found.total
-        if found.total != rbell_number(n, r):
-            yield 0, "FAIL", f"(n={n}, r={r}): enumerated {found.total} vs {rbell_number(n, r)}"
+        if found.total != (expected := sum(row)):
+            yield 0, "FAIL", f"(n={n}, r={r}): enumerated {found.total} vs {expected}"
             break
-        row = stirling_row(2, n + r, r)
         wrong = [(k, count) for k, count in found.by_blocks.items() if count != row[k - r]]
         if wrong:
             k, count = wrong[0]

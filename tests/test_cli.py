@@ -59,6 +59,19 @@ def test_bell_eval_negative_rational(capsys):
     assert json.loads(out)["value"] == "-1"
 
 
+def test_bell_eval_negative_fraction_needs_the_equals_form(capsys):
+    # argparse reads a separate -1/2 as an option, and its help says so
+    code, out, _ = run(capsys, "bell", "-n", "3", "-r", "1", "--x=-1/2")
+    assert code == 0
+    assert out == '{"op":"bell","params":{"n":3,"r":1,"x":"-1/2"},"value":"-9/8"}\n'
+    code, out, err = run(capsys, "bell", "-n", "3", "-r", "1", "--x", "-1/2")
+    assert (code, out) == (2, "")
+    assert "argument --x: expected one argument" in err
+    code, out, _ = run(capsys, "bell", "--help")
+    assert code == 0
+    assert "--x=-P/Q" in out
+
+
 def test_poly_and_x_are_exclusive(capsys):
     code, _, err = run(capsys, "bell", "-n", "2", "-r", "2", "--poly", "--x", "1")
     assert code == 2

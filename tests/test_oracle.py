@@ -1,6 +1,7 @@
 """Tests for the brute-force partition oracle."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,7 +13,7 @@ from rbell.oracle import (
     enumerate_grid,
     enumerate_restricted_partitions,
 )
-from rbell.stirling import stirling2r
+from rbell.stirling import stirling2r, stirling_row
 
 
 def brute_force_counts(n, r, order):
@@ -177,3 +178,33 @@ def test_grid_walk_edge_cases():
         enumerate_grid([(1, 1), (14, 0)])
     with pytest.raises(DomainError):
         enumerate_grid([(1, -1)])
+
+
+def test_grid_walk_at_the_guard_edge():
+    # n + r = 13, the largest the guard admits: the walk expands prefixes of
+    # up to 11 elements and 10 blocks, so it reads every entry of the child
+    # table, the last one only at this size
+    points = [(13 - r, r) for r in range(14)]
+    walk = enumerate_grid(points)
+    for n, r in points:
+        got = walk.counts[n, r]
+        assert got.total == rbell_number(n, r), (n, r)
+        row = stirling_row(2, 13, r)
+        assert got.by_blocks == {k: row[k - r] for k in range(max(r, 1), 14)}, (n, r)
+
+
+@pytest.mark.parametrize("walk", [
+    pytest.param(lambda: enumerate_grid(_grid(12, 12)), id="default-grid"),
+    pytest.param(lambda: enumerate_restricted_partitions(13, 0), id="13-0"),
+])
+def test_walk_memory_stays_bounded(walk):
+    # the frontier is cut into fixed-size chunks: a few hundred KB at any
+    # grid, where a whole level held at once peaks at 3.2 MB on the default
+    # grid and 18 MB at (13, 0)
+    tracemalloc.start()
+    try:
+        walk()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000

@@ -302,14 +302,14 @@ def test_mixed_widths_match_the_full_row():
 
 
 # the checks that read consecutive rows of one r; the rest scan per point
-# (horizontal-gf, real-rootedness, the integral and oracle checks), read
-# a fixed few points (polynomial-formulas, the erratum) or read no row
+# (horizontal-gf, real-rootedness and the integral checks), read a fixed
+# few points (polynomial-formulas, the erratum) or read no row
 _WALKING = {
     "explicit-formula", "stirling-row-sums", "cross-r-stirling", "stirling-log-concavity",
     "bell-addition", "route-agreement", "derivative-relation", "monic-shape",
     "whitehead-step", "bell-shift", "transform-roundtrip", "poly-binomial-relations",
     "layman-hankel", "log-convexity", "cigler-determinants", "dobinski-enclosure",
-    "egf-coefficients", "maximizing-index",
+    "egf-coefficients", "maximizing-index", "oracle-totals",
 }
 
 
@@ -328,6 +328,8 @@ def test_scans_make_a_few_walks_per_r(walks, nmax):
     assert set(counts) == _WALKING | {"carlitz"}
     # whitehead-step also sums the anti-diagonals n <= 5 point by point
     assert counts.pop("whitehead-step") == 3 * (rmax + 1) + 15
+    # the oracle reads row n + r and its sum from one walk per r
+    assert counts.pop("oracle-totals") == rmax + 1
     # each (r, n) pair of the carlitz scan calls both Carlitz sums, and each
     # walks its r-Stirling rows and its Bell numbers once
     assert counts.pop("carlitz") == (rmax + 1) * (1 + 4 * (nmax + 1))

@@ -175,6 +175,12 @@ def _entry(index, change):
     return lambda row: type(row)((*row[:index], change(row[index]), *row[index + 1:]))
 
 
+def _move(src, dst):
+    """Move one unit from entry src of a row tuple to entry dst, keeping the
+    row's sum."""
+    return lambda row: _entry(dst, _plus(1))(_entry(src, _plus(-1))(row))
+
+
 def _row_at(point, change):
     """Patch maker for stirling_rows: in every walk of (kind, r), row n
     passes through change, point = (kind, n, r)."""
@@ -479,15 +485,18 @@ FAIL_CASES = [
         id="oracle-totals",
     ),
     pytest.param(
-        "oracle", G, {"stirling_row": _at((2, 4, 1), _entry(1, _plus(1)))},
+        # row 4 of r = 1 keeps its sum, so only the block counts disagree
+        "oracle", G, {"stirling_rows": _row_at((2, 4, 1), _move(2, 1))},
         _fail("oracle-totals", "(n=3, r=1, k=2): enumerated 7 vs 8"),
         id="oracle-totals-blocks",
     ),
     pytest.param(
         "oracle", G,
+        # the enumeration and row 4 of r = 2 agree on B_{2,2} = 1
         {
-            "enumerate_grid": _counts_at((2, 2), lambda c: c._replace(total=1)),
-            "rbell_number": _at((2, 2), _const(1)),
+            "enumerate_grid": _counts_at(
+                (2, 2), lambda c: c._replace(by_blocks={2: 1, 3: 0, 4: 0}, total=1)),
+            "stirling_rows": _row_at((2, 4, 2), _const((1, 0, 0))),
         },
         _fail("oracle-monotonicity", "(n=2, r=1): 1 < 5"),
         id="oracle-monotonicity",
@@ -526,9 +535,8 @@ def test_oracle_monotonicity_sees_only_totals_before_the_first_mismatch(monkeypa
     # the count mismatch at (3, 1) ends the scan, so the total corrupted at
     # (2, 2), later in scan order, never reaches the monotonicity check
     patches = {
-        "stirling_row": _at((2, 4, 1), _entry(1, _plus(1))),
+        "stirling_rows": _row_at((2, 4, 1), _move(2, 1)),
         "enumerate_grid": _counts_at((2, 2), lambda c: c._replace(total=1)),
-        "rbell_number": _at((2, 2), _const(1)),
     }
     results = _run_patched(monkeypatch, patches, lambda: run_suite("oracle", *G))
     assert results == [
