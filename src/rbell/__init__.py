@@ -20,7 +20,6 @@ from .analytic import (
     QuadratureResult,
     RootednessReport,
     cesaro_integral,
-    cesaro_integrand_forms,
     dobinski_eval,
     dobinski_series_sum,
     egf_coeffs,
@@ -32,20 +31,17 @@ from .analytic import (
     sin_moment,
 )
 from .bell import (
-    bell_poly,
-    carlitz_compose,
-    carlitz_inverse,
+    carlitz_compositions,
+    carlitz_inversions,
     cross_r_printed,
-    cross_r_step,
-    rbell_from_bell,
+    cross_r_steps,
     rbell_number,
     rbell_poly,
-    rbell_poly_rec,
     rbell_polys_from_bell,
     rbell_polys_rec,
     rbell_table,
     whitehead_row_sum,
-    whitehead_step,
+    whitehead_steps,
 )
 from .errors import ConvergenceError, DomainError, InconsistencyError
 from .oracle import GridCounts, PartitionCounts, enumerate_grid, enumerate_restricted_partitions
@@ -61,7 +57,6 @@ from .transforms import (
     cigler_closed_form,
     cigler_d,
     cigler_minors,
-    hankel_det,
     hankel_transform_rbell,
     inverse_binomial_transform,
     log_convexity_check,
@@ -82,18 +77,16 @@ __all__ = [
     "PartitionCounts",
     "QuadratureResult",
     "RootednessReport",
-    "bell_poly",
     "binomial",
     "binomial_transform",
-    "carlitz_compose",
-    "carlitz_inverse",
+    "carlitz_compositions",
+    "carlitz_inversions",
     "cesaro_integral",
-    "cesaro_integrand_forms",
     "cigler_closed_form",
     "cigler_d",
     "cigler_minors",
     "cross_r_printed",
-    "cross_r_step",
+    "cross_r_steps",
     "dobinski_eval",
     "dobinski_series_sum",
     "egf_coeffs",
@@ -101,7 +94,6 @@ __all__ = [
     "enumerate_restricted_partitions",
     "falling_factorial_poly",
     "fraction_free_det",
-    "hankel_det",
     "hankel_transform_rbell",
     "horizontal_check",
     "hypergeom_1f1",
@@ -111,10 +103,8 @@ __all__ = [
     "max_index",
     "ogf_coefficient_pair",
     "pochhammer",
-    "rbell_from_bell",
     "rbell_number",
     "rbell_poly",
-    "rbell_poly_rec",
     "rbell_polys_from_bell",
     "rbell_polys_rec",
     "rbell_table",
@@ -126,6 +116,6 @@ __all__ = [
     "stirling2r_explicit",
     "sturm_root_count",
     "whitehead_row_sum",
-    "whitehead_step",
+    "whitehead_steps",
     "__version__",
 ]

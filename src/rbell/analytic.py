@@ -379,19 +379,6 @@ def _float_forms(c: float, s: float, a: int, b: int) -> tuple[float, float, floa
     return complex_form, real_form, modulus
 
 
-def cesaro_integrand_forms(theta: float, n: int, r: int) -> tuple[float, float]:
-    """Both integrand forms of the integral representation at one angle.
-
-    The first is the complex-exponential form Im(e^{e^{e^{i theta}}}
-    e^{r e^{i theta}}) sin(n theta); the second is its expanded real form
-    e^{e^{cos t} cos(sin t) + r cos t} [cos(B) sin(r sin t) + sin(B) cos(r sin t)]
-    sin(n t) with B = e^{cos t} sin(sin t).
-    """
-    complex_form, real_form, _ = _float_forms(math.cos(theta), math.sin(theta), 1, r)
-    sn = math.sin(n * theta)
-    return complex_form * sn, real_form * sn
-
-
 def _cauchy_radius(a: int, b: int, d: float) -> float:
     """The rho > 0 with rho phi'(rho) = d, phi(rho) = a e^rho + b rho, where
     e^{phi(rho)} / rho^d is least (inf when phi is constant)."""

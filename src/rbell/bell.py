@@ -58,12 +58,6 @@ def rbell_polys_rec(n_max: int, r: int) -> list[IntPolynomial]:
     return polys
 
 
-def rbell_poly_rec(n: int, r: int) -> IntPolynomial:
-    """B_{n,r}(x) from the derivative recurrence: the last of
-    :func:`rbell_polys_rec`."""
-    return rbell_polys_rec(n, r)[-1]
-
-
 def rbell_number(n: int, r: int) -> int:
     """B_{n,r} = B_{n,r}(1), the sum of the r-Stirling coefficients."""
     _check_natural(n=n, r=r)
@@ -74,11 +68,6 @@ def rbell_numbers(n_max: int, r: int) -> list[int]:
     """B_{0,r}, ..., B_{n_max,r}, the sums of rows r..n_max+r of one walk."""
     _check_natural(n_max=n_max, r=r)
     return [sum(row) for row in stirling_rows(2, r, n_max + r)]
-
-
-def bell_poly(n: int) -> IntPolynomial:
-    """Ordinary Bell polynomial B_n(x), the r = 0 case."""
-    return rbell_poly(n, 0)
 
 
 def rbell_polys_from_bell(n_max: int, r: int) -> list[IntPolynomial]:
@@ -100,12 +89,6 @@ def rbell_polys_from_bell(n_max: int, r: int) -> list[IntPolynomial]:
     return polys
 
 
-def rbell_from_bell(n: int, r: int) -> IntPolynomial:
-    """B_{n,r}(x) as a binomial sum of ordinary Bell polynomials: the last of
-    :func:`rbell_polys_from_bell`."""
-    return rbell_polys_from_bell(n, r)[-1]
-
-
 def cross_r_steps(n_max: int, r: int) -> list[IntPolynomial]:
     """B_{0,r}(x), ..., B_{n_max,r}(x) reconstructed from the (r-1)-row via
 
@@ -119,16 +102,10 @@ def cross_r_steps(n_max: int, r: int) -> list[IntPolynomial]:
     """
     _check_natural(n_max=n_max, r=r)
     if r < 1:
-        raise DomainError("cross_r_step needs r >= 1")
+        raise DomainError("cross_r_steps needs r >= 1")
     lower = rbell_polys(n_max + 1, r - 1)
     x = IntPolynomial((0, 1))
     return [(b - (r - 1) * a) // x for a, b in zip(lower, lower[1:])]
-
-
-def cross_r_step(n: int, r: int) -> IntPolynomial:
-    """B_{n,r}(x) by the cross-parameter step: the last of
-    :func:`cross_r_steps`."""
-    return cross_r_steps(n, r)[-1]
 
 
 def cross_r_printed(n: int, r: int) -> IntPolynomial:
@@ -163,11 +140,6 @@ def carlitz_compositions(n: int, m_max: int, r: int) -> list[int]:
     return [sum(map(mul, row, values)) for row in stirling_rows(2, r, m_max + r)]
 
 
-def carlitz_compose(n: int, m: int, r: int) -> int:
-    """The last entry of :func:`carlitz_compositions`."""
-    return carlitz_compositions(n, m, r)[-1]
-
-
 def carlitz_inversions(n: int, m_max: int, r: int) -> list[int]:
     """Carlitz's inversions sum_{j=0..m} (-1)^(m-j) [m+r, j+r]_r B_{n+j,r},
     m = 0..m_max, each B_{n+j,r} computed once as in carlitz_compositions;
@@ -182,21 +154,11 @@ def carlitz_inversions(n: int, m_max: int, r: int) -> list[int]:
     return [(-1) ** m * sum(map(mul, row, signed)) for m, row in enumerate(rows)]
 
 
-def carlitz_inverse(n: int, m: int, r: int) -> int:
-    """The last entry of :func:`carlitz_inversions`."""
-    return carlitz_inversions(n, m, r)[-1]
-
-
 def whitehead_steps(n_max: int, r: int) -> list[int]:
     """r B_{n,r} + B_{n,r+1} for n = 0..n_max, from one walk each of r and
     r + 1; contract: entry n equals rbell_number(n + 1, r)."""
     _check_natural(n_max=n_max, r=r)
     return [r * a + b for a, b in zip(rbell_numbers(n_max, r), rbell_numbers(n_max, r + 1))]
-
-
-def whitehead_step(n: int, r: int) -> int:
-    """The last entry of :func:`whitehead_steps`."""
-    return whitehead_steps(n, r)[-1]
 
 
 def whitehead_row_sum(n: int) -> int:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import IntPolynomial, fraction_free_det, leading_principal_minors, pochhammer
+from .algebra import IntPolynomial, leading_principal_minors, pochhammer
 from .bell import rbell_polys, rbell_table_rows
 from .errors import DomainError
 from .stirling import _check_natural
@@ -31,19 +31,6 @@ def inverse_binomial_transform(seq):
     return [
         sum(math.comb(n, k) * seq[k] for k in range(n + 1)) for n in range(len(seq))
     ]
-
-
-def hankel_det(seq, n: int, k: int = 0):
-    """Determinant of the n x n matrix with entry (i, j) = seq[i + j + k]."""
-    _check_natural(n=n, k=k)
-    if n < 1:
-        raise DomainError("hankel_det needs a positive matrix size")
-    if len(seq) < 2 * (n - 1) + k + 1:
-        raise DomainError(
-            f"need at least {2 * (n - 1) + k + 1} terms for size {n} offset {k}, "
-            f"got {len(seq)}"
-        )
-    return fraction_free_det([[seq[i + j + k] for j in range(n)] for i in range(n)])
 
 
 def hankel_transform_rbell(r: int, n_max: int) -> list[int]:

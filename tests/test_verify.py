@@ -366,6 +366,13 @@ FAIL_CASES = [
         id="layman-hankel",
     ),
     pytest.param(
+        # 1, 3, 9, 27, ... has a zero 2 x 2 Hankel minor, which ends the
+        # elimination of B_{.,2} at r = 1
+        "transforms", G, {"rbell_numbers": _at((10, 2), lambda s: [3**i for i in range(len(s))])},
+        _fail("layman-hankel", "(r=1): leading 2x2 minor is zero; cannot eliminate"),
+        id="layman-hankel-zero-minor",
+    ),
+    pytest.param(
         "transforms", G, {"hankel_transform_rbell": _at((3, 5), _bump_last)},
         _fail("hankel-products", "r=3: [1, 1, 2, 12, 288, 34561] vs [1, 1, 2, 12, 288, 34560]"),
         id="hankel-products",
