@@ -47,7 +47,7 @@ from .errors import ConvergenceError, DomainError, InconsistencyError
 from .oracle import GridCounts, PartitionCounts, enumerate_grid, enumerate_restricted_partitions
 from .stirling import (
     binomial,
-    horizontal_check,
+    horizontal_checks,
     stirling1r,
     stirling2r,
     stirling2r_explicit,
@@ -95,7 +95,7 @@ __all__ = [
     "falling_factorial_poly",
     "fraction_free_det",
     "hankel_transform_rbell",
-    "horizontal_check",
+    "horizontal_checks",
     "hypergeom_1f1",
     "inverse_binomial_transform",
     "kummer_residual",

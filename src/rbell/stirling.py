@@ -104,19 +104,23 @@ def stirling2r_explicit(n: int, k: int, r: int) -> int:
     return quot
 
 
-def horizontal_check(n: int, r: int) -> IntPolynomial:
-    """Residual of the horizontal generating function
+def horizontal_checks(n_max: int, r: int) -> list[IntPolynomial]:
+    """Residuals of the horizontal generating function
 
         (x+r)^n = sum_k {n+r, k+r}_r x^(k falling)
 
-    as a polynomial; the contract is the zero polynomial.  The right side is
-    built in nested Newton form c_0 + x (c_1 + (x-1) (c_2 + ...)), one linear
+    for n = 0..n_max, from one walk, each row multiplying the left side once
+    by x + r; the contract is the zero polynomial.  The right side is built
+    in nested Newton form c_0 + x (c_1 + (x-1) (c_2 + ...)), one linear
     factor per step on its coefficient tuple, low to high.
     """
-    _check_natural(n=n, r=r)
-    lhs = IntPolynomial((r, 1)) ** n
-    row = stirling_row(2, n + r, r)
-    rhs = row[-1:]
-    for k in range(len(row) - 2, -1, -1):  # rhs <- (x - k) rhs + row[k]
-        rhs = (row[k] - k * rhs[0], *map(sub, rhs, map(mul, repeat(k), rhs[1:] + (0,))))
-    return lhs - IntPolynomial(rhs)
+    _check_natural(n_max=n_max, r=r)
+    lhs, factor = IntPolynomial((1,)), IntPolynomial((r, 1))
+    residuals = []
+    for row in stirling_rows(2, r, n_max + r):
+        rhs = row[-1:]
+        for k in range(len(row) - 2, -1, -1):  # rhs <- (x - k) rhs + row[k]
+            rhs = (row[k] - k * rhs[0], *map(sub, rhs, map(mul, repeat(k), rhs[1:] + (0,))))
+        residuals.append(lhs - IntPolynomial(rhs))
+        lhs *= factor
+    return residuals

@@ -3,11 +3,12 @@ parameter grids and reported as PASS / FAIL / KNOWN-ERRATUM check results.
 
 Every row of the table ``_CHECKS`` holds its suite, the names of its checks,
 the scan that runs them over its grid, the default nmax and rmax, and any cap
-on them.  Most rows hold one check; the three Carlitz checks share one scan,
-the two oracle checks one enumeration, and the three integral checks one
-scan, two of them one quadrature per point.  Every scan is a generator that
-yields its counterexamples in a fixed scan order, and one runner keeps the
-first of each check, so reports are deterministic: a check with none
+on them.  Most rows hold one check; the four row checks of definitions
+share one scan of one r-Stirling walk per r, the three Carlitz checks one
+scan, the two oracle checks one enumeration, and the three integral checks
+one scan, two of them one quadrature per point.  Every scan is a generator
+that yields its counterexamples in a fixed scan order, and one runner keeps
+the first of each check, so reports are deterministic: a check with none
 passes, and a scan is closed as soon as each of its checks has one.  The
 one expected failure is the frequently printed simplified form of the
 cross-r polynomial recurrence, which is reported as KNOWN-ERRATUM (see
@@ -39,7 +40,6 @@ from .bell import (
     carlitz_inversions,
     cross_r_printed,
     cross_r_steps,
-    rbell_number,
     rbell_numbers,
     rbell_poly,
     rbell_polys,
@@ -51,7 +51,7 @@ from .bell import (
 )
 from .errors import ConvergenceError, DomainError, InconsistencyError
 from .oracle import enumerate_grid
-from .stirling import binomial, horizontal_check, stirling2r_explicit, stirling_rows
+from .stirling import binomial, horizontal_checks, stirling2r_explicit, stirling_rows
 from .transforms import (
     binomial_transform,
     cigler_closed_form,
@@ -82,78 +82,72 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-def _points(nmax: int, rmax: int, n_from: int = 0, r_from: int = 0):
+def _points(nmax: int, rmax: int, n_from: int = 0):
     """The (n, r) grid in the order every check scans it: r outer, n inner."""
-    for r in range(r_from, rmax + 1):
+    for r in range(rmax + 1):
         for n in range(n_from, nmax + 1):
             yield n, r
-
-
-def _row_points(nmax: int, rmax: int):
-    """The grid of _points, each point with row n+r of the second-kind
-    r-triangle, from one walk per r."""
-    for r in range(rmax + 1):
-        for n, row in enumerate(stirling_rows(2, r, nmax + r)):
-            yield n, r, row
 
 
 # Every scan below takes the resolved (nmax, rmax) of its table row, None
 # for an axis it does not scan, and yields each counterexample as its detail
 # text.  A scan that names one of several checks of its row, or a status
 # other than FAIL, yields a triple (i, status, detail) for the row's check i
-# instead.  A scan that reads consecutive rows of one r takes them from one
-# walk per r (stirling_rows or a list form built on it), in the same (r, n)
-# order.
+# instead.  A scan that reads several rows or values of one r takes them
+# from one walk per r (stirling_rows or a list form built on it), in the same
+# (r, n) order.
 
 # ---------------------------------------------------------------------------
 # definitions
 
 
-def _explicit_formula(nmax: int, rmax: int) -> Iterator[str]:
-    for n, r, row in _row_points(nmax, rmax):
-        for k in range(n + 1):
-            a = row[k]
-            b = stirling2r_explicit(n, k, r)
-            if a != b:
-                yield f"(n={n}, k={k}, r={r}): recurrence {a} vs alternating sum {b}"
-
-
-def _row_sums(nmax: int, rmax: int) -> Iterator[str]:
-    # rbell_number sums this very row; the table takes the Bell-triangle route
+def _definitions(nmax: int, rmax: int) -> Iterator[tuple[int, str, str]]:
+    """Four checks from one scan of row n+r of the second-kind r-triangle,
+    one walk per r: the recurrence against the alternating sum
+    (explicit-formula, check 0), the row sum against one rbell_table built by
+    the Bell triangle (stirling-row-sums, check 1), the row against two
+    consecutive rows of the (r-1)-walk for r >= 1 (cross-r-stirling, check 2),
+    and log-concavity in k (check 3).  Each check is compared in its own
+    (r, n, k) order, and nothing more is computed for a check once it has a
+    counterexample."""
     table = rbell_table(nmax, rmax)
-    for n, r, row in _row_points(nmax, rmax):
-        if r >= len(table) or n >= len(table[r]):
-            yield f"(n={n}, r={r}): rbell_table has no entry B_{{n,r}}"
-            continue
-        total = sum(row)
-        expected = table[r][n]
-        if total != expected:
-            yield f"(n={n}, r={r}): row sum {total} vs B = {expected}"
+    closed = set()  # the checks that need no further point
 
+    def fail(i: int, detail: str) -> tuple[int, str, str]:
+        closed.add(i)
+        return i, "FAIL", detail
 
-def _cross_r_stirling(nmax: int, rmax: int) -> Iterator[str]:
-    for r in range(1, rmax + 1):
-        # {n+r, k+r}_r at index k; {n-1+r, k+r}_{r-1} and {n+r, k+r}_{r-1} at
-        # index k+1, two consecutive rows of the (r-1)-walk
-        rows = zip(stirling_rows(2, r, nmax + r), pairwise(stirling_rows(2, r - 1, nmax + r)))
-        for n, (row, (below, wider)) in enumerate(rows):
-            below += (0,)
-            for k in range(n + 1):
-                lhs = row[k]
-                rhs = wider[k + 1] - (r - 1) * below[k + 1]
-                if lhs != rhs:
-                    yield f"(n={n}, k={k}, r={r}): {lhs} vs {rhs}"
-
-
-def _log_concavity(nmax: int, rmax: int) -> Iterator[str]:
-    for n, r, row in _row_points(nmax, rmax):
-        row = (0, *row, 0)  # {n+r, k}_r at index k - r + 1
-        for k in range(max(r, 1), n + r + 1):
-            j = k - r + 1
-            middle = row[j] ** 2
-            sides = row[j + 1] * row[j - 1]
-            if middle < sides:
-                yield f"(n={n}, k={k}, r={r}): {middle} < {sides}"
+    for r in range(rmax + 1):
+        # consecutive rows (below, wider) of the (r-1)-walk: {n-1+r, k+r}_{r-1}
+        # and {n+r, k+r}_{r-1} at index k+1
+        pairs = pairwise(stirling_rows(2, r - 1, nmax + r)) if r and 2 not in closed else None
+        for n, row in enumerate(stirling_rows(2, r, nmax + r)):
+            if 0 not in closed:
+                for k, a in enumerate(row):
+                    if a != (b := stirling2r_explicit(n, k, r)):
+                        yield fail(0, f"(n={n}, k={k}, r={r}): recurrence {a} vs "
+                                      f"alternating sum {b}")
+                        break
+            if 1 not in closed:
+                if r >= len(table) or n >= len(table[r]):
+                    yield fail(1, f"(n={n}, r={r}): rbell_table has no entry B_{{n,r}}")
+                elif (total := sum(row)) != table[r][n]:
+                    yield fail(1, f"(n={n}, r={r}): row sum {total} vs B = {table[r][n]}")
+            if pairs and 2 not in closed:
+                below, wider = next(pairs)
+                below += (0,)
+                for k, lhs in enumerate(row):
+                    if lhs != (rhs := wider[k + 1] - (r - 1) * below[k + 1]):
+                        yield fail(2, f"(n={n}, k={k}, r={r}): {lhs} vs {rhs}")
+                        break
+            if 3 not in closed:
+                padded = (0, *row, 0)  # {n+r, k}_r at index k - r + 1
+                for k in range(max(r, 1), n + r + 1):
+                    j = k - r + 1
+                    middle, sides = padded[j] ** 2, padded[j + 1] * padded[j - 1]
+                    if middle < sides:
+                        yield fail(3, f"(n={n}, k={k}, r={r}): {middle} < {sides}")
+                        break
 
 
 def _number_table(nmax: None, rmax: None) -> Iterator[str]:
@@ -170,8 +164,8 @@ def _polynomial_formulas(nmax: None, rmax: int) -> Iterator[str]:
             [r**3, 3 * r * r + 3 * r + 1, 3 * r + 3, 1],
             [r**4, 4 * r**3 + 6 * r * r + 4 * r + 1, 6 * r * r + 12 * r + 7, 4 * r + 6, 1],
         )
-        for n, coeffs in enumerate(closed_forms):
-            got, want = rbell_poly(n, r), IntPolynomial(coeffs)
+        for n, (got, coeffs) in enumerate(zip(rbell_polys(4, r), closed_forms)):
+            want = IntPolynomial(coeffs)
             if got != want:
                 yield f"(n={n}, r={r}): {got!r} vs closed form {want!r}"
 
@@ -194,10 +188,10 @@ def _bell_addition(nmax: int, rmax: None) -> Iterator[str]:
 
 
 def _horizontal(nmax: int, rmax: int) -> Iterator[str]:
-    for n, r in _points(nmax, rmax):
-        residual = horizontal_check(n, r)
-        if residual:
-            yield f"(n={n}, r={r}): residual {residual!r}"
+    for r in range(rmax + 1):
+        for n, residual in enumerate(horizontal_checks(nmax, r)):
+            if residual:
+                yield f"(n={n}, r={r}): residual {residual!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +412,11 @@ def _integral(nmax: tuple[int, int], rmax: int) -> Iterator[tuple[int, str, str]
     """Three checks in report order.  cesaro-integral (check 0) and
     compelling-identity (check 2) share one pass that computes each
     quadrature once and keeps nothing past its point: check 0 compares it
-    with rbell_number, and check 2 compares e times it with the bare Dobinski
-    series sum_k (k+r)^n / k!.  A quadrature error is the counterexample of
-    both.  The pass computes nothing more for a check once it has a
-    counterexample.  sin-moment (check 1) then runs on its own grid,
-    n <= nmax[1], up to its first counterexample.
+    with B_{n,r} from one rbell_numbers walk per r, and check 2 compares e
+    times it with the bare Dobinski series sum_k (k+r)^n / k!.  A quadrature
+    error is the counterexample of both.  The pass computes nothing more for
+    a check once it has a counterexample.  sin-moment (check 1) then runs on
+    its own grid, n <= nmax[1], up to its first counterexample.
 
     Errors surface in the order of separate scans: one met while computing
     for cesaro-integral ends the run at once, one met only for
@@ -431,6 +425,8 @@ def _integral(nmax: tuple[int, int], rmax: int) -> Iterator[tuple[int, str, str]
     deferred = None
     for n, r in _points(nmax[0], rmax, n_from=1):
         where = f"(n={n}, r={r}): "
+        if n == 1 and 0 not in closed:  # the first point of r: B_{.,r} from one walk
+            exact = rbell_numbers(nmax[0], r)
         if 2 not in closed:
             try:
                 raw = dobinski_series_sum(n, r, 1, 1e-9)
@@ -453,9 +449,9 @@ def _integral(nmax: tuple[int, int], rmax: int) -> Iterator[tuple[int, str, str]
             for i in open_checks:
                 yield i, "FAIL", where + str(exc)
             continue
-        if 0 in open_checks and not quad.encloses(exact := rbell_number(n, r)):
+        if 0 in open_checks and not quad.encloses(exact[n]):
             closed.add(0)
-            yield 0, "FAIL", f"{where}{quad.value!r} vs exact {exact}"
+            yield 0, "FAIL", f"{where}{quad.value!r} vs exact {exact[n]}"
         if 2 in open_checks:
             lhs = raw.value
             rhs = math.e * quad.value
@@ -584,13 +580,12 @@ class _Check(NamedTuple):
     n_cap: int | None = None
 
 
-# Rows are in report order; a suite's rows are contiguous.  Three rows scan
-# for several checks at once: carlitz, integral and oracle.
+# Rows are in report order; a suite's rows are contiguous.  Four rows scan
+# for several checks at once: definitions, carlitz, integral and oracle.
 _CHECKS = (
-    _Check("definitions", ("explicit-formula",), _explicit_formula, 12, 8),
-    _Check("definitions", ("stirling-row-sums",), _row_sums, 12, 8),
-    _Check("definitions", ("cross-r-stirling",), _cross_r_stirling, 12, 8),
-    _Check("definitions", ("stirling-log-concavity",), _log_concavity, 12, 8),
+    _Check("definitions",
+           ("explicit-formula", "stirling-row-sums", "cross-r-stirling", "stirling-log-concavity"),
+           _definitions, 12, 8),
     _Check("definitions", ("number-table",), _number_table, None, None),
     _Check("definitions", ("polynomial-formulas",), _polynomial_formulas, None, 8),
     _Check("definitions", ("bell-addition",), _bell_addition, 10, None),

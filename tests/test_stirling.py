@@ -18,7 +18,7 @@ from rbell.bell import rbell_number, rbell_poly, rbell_table
 from rbell.errors import DomainError
 from rbell.stirling import (
     binomial,
-    horizontal_check,
+    horizontal_checks,
     stirling1r,
     stirling2r,
     stirling2r_explicit,
@@ -117,27 +117,31 @@ def test_second_kind_row_sums_match_partition_counts():
 
 
 def test_horizontal_check_is_zero():
-    assert horizontal_check(2, 2) == IntPolynomial()
-    assert horizontal_check(1, 5) == IntPolynomial()
-    assert horizontal_check(3, 1) == IntPolynomial()
+    assert horizontal_checks(2, 2)[2] == IntPolynomial()
+    assert horizontal_checks(1, 5)[1] == IntPolynomial()
+    assert horizontal_checks(3, 1)[3] == IntPolynomial()
     for r in (*range(0, 9), 16):
-        for n in range(0, 41):
-            assert not horizontal_check(n, r), (n, r)
+        residuals = horizontal_checks(40, r)
+        assert len(residuals) == 41
+        for n, residual in enumerate(residuals):
+            assert not residual, (n, r)
 
 
 def test_horizontal_check_sees_a_perturbed_row_entry(monkeypatch):
-    original = rbell.stirling.stirling_row
+    original = rbell.stirling.stirling_rows
 
-    def perturbed(kind, n, r, width=None):
-        row = original(kind, n, r, width)
-        return (*row[:k], row[k] + 1, *row[k + 1:])
+    def perturbed(kind, r, n_max, width=None):
+        for m, row in enumerate(original(kind, r, n_max, width), start=r):
+            yield (*row[:k], row[k] + 1, *row[k + 1:]) if m == n + r else row
 
     for n, r, k in ((1, 0, 0), (5, 2, 0), (12, 3, 7), (40, 1, 40), (40, 4, 17)):
-        monkeypatch.setattr(rbell.stirling, "stirling_row", perturbed)
-        residual = horizontal_check(n, r)
+        monkeypatch.setattr(rbell.stirling, "stirling_rows", perturbed)
+        residuals = horizontal_checks(n, r)
         monkeypatch.undo()
-        # the residual is minus the falling factorial of the perturbed column
-        assert residual == -falling_factorial_poly(k)
+        # the residual of row n + r is minus the falling factorial of the
+        # perturbed column, and every row before it has none
+        assert residuals[-1] == -falling_factorial_poly(k)
+        assert not any(residuals[:-1])
 
 
 def test_cross_r_recurrence_between_triangles():
@@ -301,14 +305,14 @@ def test_mixed_widths_match_the_full_row():
         stirling_row(2, 25, 1, -1)
 
 
-# the checks that read consecutive rows of one r; the rest scan per point
-# (horizontal-gf, real-rootedness and the integral checks), read a fixed
-# few points (polynomial-formulas, the erratum) or read no row
+# the rows whose scans read several rows or values of one r, by the name of
+# their first check; the rest scan per point (real-rootedness), read a
+# fixed few points (the erratum) or read no row
 _WALKING = {
-    "explicit-formula", "stirling-row-sums", "cross-r-stirling", "stirling-log-concavity",
-    "bell-addition", "route-agreement", "derivative-relation", "monic-shape",
-    "whitehead-step", "bell-shift", "transform-roundtrip", "poly-binomial-relations",
-    "layman-hankel", "log-convexity", "cigler-determinants", "dobinski-enclosure",
+    "explicit-formula", "polynomial-formulas", "bell-addition", "horizontal-gf",
+    "route-agreement", "derivative-relation", "monic-shape", "whitehead-step",
+    "bell-shift", "transform-roundtrip", "poly-binomial-relations", "layman-hankel",
+    "log-convexity", "cigler-determinants", "dobinski-enclosure", "cesaro-integral",
     "egf-coefficients", "maximizing-index", "oracle-totals",
 }
 
@@ -326,6 +330,13 @@ def test_scans_make_a_few_walks_per_r(walks, nmax):
             assert list(check.scan(n, rbell.verify._axis(check.rmax, rmax))) == []
             counts[check.suite if check.suite == "carlitz" else check.names[0]] = len(walks)
     assert set(counts) == _WALKING | {"carlitz"}
+    # the four row checks of definitions read one walk per r, and the
+    # cross-r check the (r-1)-walk beside it for r >= 1
+    assert counts.pop("explicit-formula") == 2 * rmax + 1
+    # one list per r: the polynomials n <= 4, the residuals, and the exact
+    # B_{n,r} of the quadrature pass
+    for name in ("polynomial-formulas", "horizontal-gf", "cesaro-integral"):
+        assert counts.pop(name) == rmax + 1, name
     # whitehead-step also sums the anti-diagonals n <= 5 point by point
     assert counts.pop("whitehead-step") == 3 * (rmax + 1) + 15
     # the oracle reads row n + r and its sum from one walk per r

@@ -254,7 +254,8 @@ FAIL_CASES = [
         id="stirling-row-sums-short-table",
     ),
     pytest.param(
-        "definitions", G, {"rbell_poly": _at((3, 1), _plus(1))},
+        # entry 3 of r = 1's polynomials n <= 4 is B_{3,1}
+        "definitions", G, {"rbell_polys": _at((4, 1), _entry(3, _plus(1)))},
         _fail(
             "polynomial-formulas",
             "(n=3, r=1): IntPolynomial([2, 7, 6, 1]) vs closed form IntPolynomial([1, 7, 6, 1])",
@@ -267,7 +268,8 @@ FAIL_CASES = [
         id="bell-addition",
     ),
     pytest.param(
-        "definitions", G, {"horizontal_check": _at((2, 1), _plus(IntPolynomial([0, 1])))},
+        "definitions", G,
+        {"horizontal_checks": _at((4, 1), _entry(2, _plus(IntPolynomial([0, 1]))))},
         _fail("horizontal-gf", "(n=2, r=1): residual IntPolynomial([0, 1])"),
         id="horizontal-gf",
     ),
@@ -413,7 +415,7 @@ FAIL_CASES = [
         id="cesaro-integral-convergence",
     ),
     pytest.param(
-        "integral", G, {"rbell_number": _at((2, 3), _plus(1))},
+        "integral", G, {"rbell_numbers": _at((4, 3), _entry(2, _plus(1)))},
         _fail("cesaro-integral", "(n=2, r=3): 16.999999999840597 vs exact 18"),
         id="cesaro-integral",
     ),
@@ -588,6 +590,29 @@ def test_carlitz_checks_keep_their_own_first_counterexample(monkeypatch):
     ]
 
 
+def test_definitions_checks_keep_their_own_first_counterexample(monkeypatch):
+    # one scan compares all four row checks; a wrong value one check reads
+    # does not end the others, and the alternating sum is not computed past
+    # explicit-formula's first counterexample: 15 points (n, k) of r = 0 and
+    # 5 of r = 1 up to (n=2, k=1, r=1)
+    seen = []
+    patches = {
+        "stirling2r_explicit": _counted(seen, _at((2, 1, 1), _plus(1))),
+        "rbell_table": lambda f: lambda n, r: [
+            [b + (1 if (i, j) == (0, 3) else 0) for j, b in enumerate(row)]
+            for i, row in enumerate(f(n, r))
+        ],
+    }
+    results = _run_patched(monkeypatch, patches, lambda: run_suite("definitions", *G))
+    assert results[:4] == [
+        _fail("explicit-formula", "(n=2, k=1, r=1): recurrence 3 vs alternating sum 4"),
+        _fail("stirling-row-sums", "(n=3, r=0): row sum 5 vs B = 6"),
+        CheckResult("cross-r-stirling", "PASS"),
+        CheckResult("stirling-log-concavity", "PASS"),
+    ]
+    assert len(seen) == 20
+
+
 def _counted(seen, make=None):
     """Patch maker: the patch make builds (or the real function), with each
     call's arguments appended to seen."""
@@ -755,7 +780,7 @@ def _raise_at(point, exc):
         # after cesaro-integral's first counterexample, compelling-identity
         # reads the series before the quadrature
         (
-            {"rbell_number": _at((1, 0), _plus(1)),
+            {"rbell_numbers": _at((4, 0), _entry(1, _plus(1))),
              "dobinski_series_sum": _raise_at((2, 1), DomainError("series at (2, 1)")),
              "cesaro_integral": _raise_at((2, 1), DomainError("integral at (2, 1)"))},
             "series at (2, 1)",
